@@ -7,11 +7,22 @@ direction's bottleneck is the lowest rate over its events, and capacity per
 timeslot divides the two bottlenecks by the schedule period: once by Z when
 coded relaying moves both directions per cycle, once by 2Z when the cycle
 serves each direction in its own half.
+
+``stream_capacity`` evaluates all events of a period in one pass over a
+received-power matrix P = Pt * K * (d_ref / D)^eta built from the layout's
+distance matrix D: an event's signal is P[rx, tx], and its interference is
+the sum of P[rx] over the nodes on air in its slot, its own transmitter
+masked out. This is the physical interference model of Gupta and Kumar (The
+Capacity of Wireless Networks, IEEE Trans. IT 2000). ``event_sinr`` and
+``event_interference`` compute the same quantities for one event with scalar
+link-budget calls; they are the reference the matrix pass is tested against.
 """
 
 from dataclasses import dataclass, replace
 
-from multihop.radio import noise_power, received_power, shannon_rate, sinr
+import numpy as np
+
+from multihop.radio import noise_power, path_constant, received_power, shannon_rate, sinr
 from multihop.schedule import (
     FORWARD,
     MODE_NC,
@@ -27,14 +38,19 @@ from multihop.schedule import (
 
 @dataclass(frozen=True)
 class ReceptionEvent:
-    """One addressed reception: route positions, plus everything else on air."""
+    """One addressed reception: route positions, plus everything on air in its slot."""
 
     slot: int
     stream: int
     receiver: int
     transmitter: int
     direction: str  # direction the received content travels
-    interferers: frozenset  # (stream, route position) pairs
+    on_air: frozenset  # (stream, route position) of each transmitter in the slot; one set per slot
+
+    @property
+    def interferers(self):
+        """Everything on air in the slot except the event's own transmitter."""
+        return self.on_air - {(self.stream, self.transmitter)}
 
 
 @dataclass(frozen=True)
@@ -69,20 +85,20 @@ def build_schedules(routes, mode, z, tr_phase="same"):
 
 
 def reception_events(schedules, routes):
-    """All reception events over one schedule period, interferers included."""
+    """All reception events over one schedule period, with what is on air."""
     periods = {s.period for s in schedules.values()}
     if len(periods) != 1:
         raise ValueError("streams must share one schedule period, got %r" % (sorted(periods),))
     period = periods.pop()
     events = []
     for slot in range(1, period + 1):
-        on_air = []
+        transmitters = []
         for stream in sorted(schedules):
             ts = schedules[stream].slot(slot)
             for t in sorted(ts.transmitters, key=lambda x: x.node):
-                on_air.append(t)
-        all_pairs = frozenset((t.stream, t.node) for t in on_air)
-        for t in on_air:
+                transmitters.append(t)
+        on_air = frozenset((t.stream, t.node) for t in transmitters)
+        for t in transmitters:
             nodes = routes[t.stream].num_nodes
             for rx in t.receivers(nodes):
                 travel = FORWARD if rx > t.node else REVERSE
@@ -93,7 +109,7 @@ def reception_events(schedules, routes):
                         receiver=rx,
                         transmitter=t.node,
                         direction=travel,
-                        interferers=all_pairs - {(t.stream, t.node)},
+                        on_air=on_air,
                     )
                 )
     return events
@@ -122,6 +138,38 @@ def event_sinr(event, geometry, routes, radio):
     return sinr(signal, event_interference(event, geometry, routes, radio), noise_power(radio))
 
 
+def _event_sinrs(events, geometry, routes, radio):
+    """SINR of every event, as ``event_sinr`` defines it, from one power matrix."""
+    flat = {pair: i for i, pair in enumerate(geometry.nodes())}
+    index = {
+        (stream, position): flat[_layout_pair(routes, stream, position)]
+        for stream, route in routes.items()
+        for position in range(1, route.num_nodes + 1)
+    }
+    slots = {ev.slot: ev.on_air for ev in events}
+    on_air = np.zeros((max(slots, default=0) + 1, len(flat)), dtype=bool)  # row = slot
+    for slot, pairs in slots.items():
+        on_air[slot, [index[p] for p in pairs]] = True
+    rx = np.array([index[(ev.stream, ev.receiver)] for ev in events], dtype=np.intp)
+    tx = np.array([index[(ev.stream, ev.transmitter)] for ev in events], dtype=np.intp)
+    listening = on_air[[ev.slot for ev in events]]  # (event, node): node on air in the event's slot
+
+    dist = geometry.distance_matrix
+    ref = radio.reference_distance_m
+    too_close = (dist < ref)[rx] & listening
+    if too_close.any():
+        e, j = np.argwhere(too_close)[0]
+        raise ValueError("distance %.3f m below the %.1f m reference" % (dist[rx[e], j], ref))
+    np.fill_diagonal(dist, np.inf)  # no node hears itself: zero power on the diagonal
+    power = radio.tx_power_w * path_constant(radio) * (ref / dist) ** radio.path_loss_exponent
+
+    heard = power[rx]
+    heard *= listening
+    heard[np.arange(len(rx)), tx] = 0.0  # masked, not subtracted: keeps small interference exact
+    signal = power[rx, tx]
+    return (signal / (heard.sum(axis=1) + noise_power(radio))).tolist()
+
+
 def capacity_per_slot(mode, z, forward_bps, reverse_bps):
     """Fold the two directional bottlenecks into capacity per timeslot."""
     if mode == MODE_NC:
@@ -135,10 +183,8 @@ def stream_capacity(geometry, routes, radio, mode, z, tr_phase="same"):
     """Capacity report per stream; interference crosses streams either way."""
     schedules = build_schedules(routes, mode, z, tr_phase=tr_phase)
     events = reception_events(schedules, routes)
-    rated = []
-    for ev in events:
-        s = event_sinr(ev, geometry, routes, radio)
-        rated.append((ev, s, shannon_rate(radio, s)))
+    sinrs = _event_sinrs(events, geometry, routes, radio)
+    rated = [(ev, s, shannon_rate(radio, s)) for ev, s in zip(events, sinrs)]
     reports = {}
     for stream in sorted(routes):
         mine = [(ev, s, r) for ev, s, r in rated if ev.stream == stream]

@@ -157,6 +157,10 @@ class ExperimentSpec:
             raise ConfigError(
                 "spec streams=%d but layout has %d" % (self.streams, self.layout.num_streams)
             )
+        for name in ("modes", "z_values", "hop_counts"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ConfigError("%s has duplicate entries: %r" % (name, values))
         if not self.modes or any(m not in (MODE_TR, MODE_NC) for m in self.modes):
             raise ConfigError("modes must be a non-empty subset of {TR, NC}, got %r" % (self.modes,))
         if not self.hop_counts:
@@ -274,7 +278,8 @@ def check_consistency(rows, rel=1e-9):
         want_cap = capacity_per_slot(
             row.mode, row.z, row.forward_bottleneck_bps, row.reverse_bottleneck_bps
         )
-        if abs(row.capacity_bps - want_cap) > rel * want_cap:
+        # written so that NaN on either side fails the check
+        if not abs(row.capacity_bps - want_cap) <= rel * abs(want_cap):
             raise EngineMismatchError(
                 "capacity %r inconsistent with bottlenecks (want %r, row %r)"
                 % (row.capacity_bps, want_cap, row)

@@ -1,5 +1,6 @@
 """Node geometry for one or two parallel rows of equally spaced radios."""
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -22,6 +23,9 @@ class LayoutConfig:
             raise ValueError("nodes_per_stream must be at least 3, got %r" % (self.nodes_per_stream,))
         if self.num_streams not in (1, 2):
             raise ValueError("num_streams must be 1 or 2, got %r" % (self.num_streams,))
+        for name in ("hop_length_m", "row_separation_m"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError("%s must be finite, got %r" % (name, getattr(self, name)))
         if self.hop_length_m <= 0:
             raise ValueError("hop_length_m must be positive")
         if self.num_streams == 2 and self.row_separation_m <= 0:

@@ -1,7 +1,7 @@
 """Link budget: log-distance path loss, thermal noise, SINR, Shannon rate."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 SPEED_OF_LIGHT = 2.998e8  # m/s
 BOLTZMANN = 1.38e-23  # J/K
@@ -23,6 +23,10 @@ class RadioConfig:
     bandwidth_hz: float = 1e6
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError("%s must be finite, got %r" % (f.name, value))
         if self.tx_power_w <= 0:
             raise ValueError("tx_power_w must be positive")
         if self.tx_gain <= 0 or self.rx_gain <= 0:
@@ -33,6 +37,8 @@ class RadioConfig:
             raise ValueError("path_loss_exponent must lie in [2, 6], got %r" % (self.path_loss_exponent,))
         if self.reference_distance_m != 1.0:
             raise ValueError("reference_distance_m is fixed at 1 m")
+        if not self.noise_figure_is_db and self.noise_figure_db <= 0:
+            raise ValueError("a linear noise factor must be positive")
         if self.temperature_k <= 0:
             raise ValueError("temperature_k must be positive")
         if self.bandwidth_hz <= 0:

@@ -120,6 +120,14 @@ class TestExperimentSpec:
         with pytest.raises(ConfigError):
             small_spec(modes=())
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"modes": (MODE_TR, MODE_TR)}, {"z_values": (2, 2, 3)}, {"hop_counts": (2, 3, 2)}],
+    )
+    def test_duplicate_entries_rejected(self, overrides):
+        with pytest.raises(ConfigError, match="duplicate"):
+            small_spec(**overrides)
+
     def test_streams_must_match_layout(self):
         spec = small_spec()
         with pytest.raises(ConfigError):
@@ -177,6 +185,15 @@ class TestConsistencyCheck:
     def test_corrupted_capacity_is_caught(self):
         rows = run_sweep(small_spec())
         bad = [replace(rows[0], capacity_bps=rows[0].capacity_bps * 1.5)] + rows[1:]
+        with pytest.raises(EngineMismatchError):
+            check_consistency(bad)
+
+    def test_nan_capacity_is_caught(self):
+        rows = run_sweep(small_spec())
+        nan = float("nan")
+        bad = [
+            replace(rows[0], forward_bottleneck_bps=nan, reverse_bottleneck_bps=nan, capacity_bps=nan)
+        ] + rows[1:]
         with pytest.raises(EngineMismatchError):
             check_consistency(bad)
 

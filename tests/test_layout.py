@@ -38,6 +38,12 @@ class TestLayoutConfig:
         with pytest.raises(ValueError):
             LayoutConfig(num_streams=2, row_separation_m=0.0)
 
+    @pytest.mark.parametrize("field", ["hop_length_m", "row_separation_m"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_spacings(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            LayoutConfig(**{field: value})
+
 
 class TestGeometry:
     def test_positions_form_the_grid(self):

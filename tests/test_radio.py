@@ -168,3 +168,27 @@ class TestValidation:
     def test_positive_parameters(self, kwargs):
         with pytest.raises(ValueError):
             RadioConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "tx_power_w",
+            "tx_gain",
+            "rx_gain",
+            "frequency_hz",
+            "path_loss_exponent",
+            "reference_distance_m",
+            "noise_figure_db",
+            "temperature_k",
+            "bandwidth_hz",
+        ],
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameters_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            RadioConfig(**{field: value})
+
+    def test_linear_noise_factor_must_be_positive(self):
+        with pytest.raises(ValueError):
+            RadioConfig(noise_figure_db=0.0, noise_figure_is_db=False)
+        RadioConfig(noise_figure_db=-1.0)  # a dB figure may be negative
