@@ -24,7 +24,6 @@ from multihop.capacity import (
     reception_events,
     event_sinr,
     stream_capacity,
-    optimum_z,
 )
 from multihop.packetsim import (
     PacketId,

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from multihop.radio import noise_power, path_constant, received_power, shannon_rate, sinr
+from multihop.radio import REFERENCE_DISTANCE_M, noise_power, path_constant, received_power, shannon_rate, sinr
 from multihop.schedule import (
     FORWARD,
     MODE_NC,
@@ -30,7 +30,6 @@ from multihop.schedule import (
     REVERSE,
     ScheduleConfig,
     Schedule,
-    TransmitSet,
     nc_schedule,
     tr_schedule,
 )
@@ -155,7 +154,7 @@ def _event_sinrs(events, geometry, routes, radio):
     listening = on_air[[ev.slot for ev in events]]  # (event, node): node on air in the event's slot
 
     dist = geometry.distance_matrix
-    ref = radio.reference_distance_m
+    ref = REFERENCE_DISTANCE_M
     too_close = (dist < ref)[rx] & listening
     if too_close.any():
         e, j = np.argwhere(too_close)[0]
@@ -204,22 +203,3 @@ def stream_capacity(geometry, routes, radio, mode, z, tr_phase="same"):
         )
     return reports
 
-
-def optimum_z(geometry, routes, radio, mode, z_values, tr_phase="same"):
-    """Reuse period maximizing stream-1 capacity; ties go to the smaller Z.
-
-    Returns (best_z, reports_by_z) where each entry holds the per-stream
-    reports for that Z.
-    """
-    if not z_values:
-        raise ValueError("z_values must be non-empty")
-    reports_by_z = {}
-    best_z = None
-    best = -1.0
-    for z in sorted(z_values):
-        reports = stream_capacity(geometry, routes, radio, mode, z, tr_phase=tr_phase)
-        reports_by_z[z] = reports
-        cap = reports[min(reports)].capacity_bps
-        if cap > best:
-            best, best_z = cap, z
-    return best_z, reports_by_z

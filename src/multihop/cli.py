@@ -21,16 +21,17 @@ from multihop.harness import (
     compare_table4,
     layout_from_config,
     load_config,
+    parse_value,
     radio_from_config,
     render_table4,
     rows_to_csv_text,
     run_sweep,
     spec_from_config,
+    stream_routes,
     table4_rows,
     write_csv,
-    _parse_value,
 )
-from multihop.layout import build_layout, stream_route
+from multihop.layout import build_layout
 from multihop.packetsim import (
     FORWARD,
     REVERSE,
@@ -98,18 +99,8 @@ def _effective_config(args):
     for _, key in _LIST_OVERRIDES:
         value = getattr(args, key, None)
         if value is not None:
-            cfg[key] = _parse_value(key, value)
+            cfg[key] = parse_value(key, value)
     return cfg
-
-
-def _routes(geometry, cfg, hops):
-    nodes = hops + 1
-    if nodes > cfg["nodes_per_stream"]:
-        raise ConfigError(
-            "hops=%d needs %d nodes per stream, layout has %d"
-            % (hops, nodes, cfg["nodes_per_stream"])
-        )
-    return {s: stream_route(geometry, s, 1, nodes) for s in range(1, cfg["num_streams"] + 1)}
 
 
 def cmd_layout(args):
@@ -136,7 +127,7 @@ def cmd_capacity(args):
     cfg = _effective_config(args)
     hops = args.hops if args.hops is not None else cfg["nodes_per_stream"] - 1
     geometry = build_layout(layout_from_config(cfg))
-    routes = _routes(geometry, cfg, hops)
+    routes = stream_routes(geometry, hops + 1)
     radio = radio_from_config(cfg)
     reports = stream_capacity(geometry, routes, radio, args.mode, args.z, tr_phase=cfg["tr_phase"])
     for stream in sorted(reports):
@@ -184,7 +175,7 @@ def cmd_simulate(args):
 
 def cmd_sweep(args):
     cfg = _effective_config(args)
-    spec = spec_from_config(cfg, output=args.output)
+    spec = spec_from_config(cfg)
     rows = run_sweep(spec)
     text = rows_to_csv_text(rows)
     if args.output and args.output != "-":

@@ -78,7 +78,8 @@ def _parse_scalar(key, text, default):
     return text
 
 
-def _parse_value(key, text):
+def parse_value(key, text):
+    """Parse one config value, a comma-separated list where the default is a tuple."""
     default = DEFAULTS[key]
     if isinstance(default, tuple):
         element = default[0] if default else ""
@@ -102,7 +103,7 @@ def parse_config_text(text):
         key = key.strip()
         if key not in DEFAULTS:
             raise ConfigError("line %d: unknown config key %r" % (lineno, key))
-        values[key] = _parse_value(key, value)
+        values[key] = parse_value(key, value)
     return values
 
 
@@ -148,7 +149,6 @@ class ExperimentSpec:
     hop_counts: tuple
     streams: int
     tr_phase: str = "same"
-    output: str = None
 
     def __post_init__(self):
         if self.streams not in (1, 2):
@@ -180,7 +180,7 @@ class ExperimentSpec:
             raise ConfigError("tr_phase must be 'same' or 'opposite'")
 
 
-def spec_from_config(cfg, streams=None, output=None):
+def spec_from_config(cfg, streams=None):
     streams = cfg["num_streams"] if streams is None else streams
     return ExperimentSpec(
         layout=layout_from_config(cfg, num_streams=streams),
@@ -190,7 +190,6 @@ def spec_from_config(cfg, streams=None, output=None):
         hop_counts=tuple(cfg["hop_counts"]),
         streams=streams,
         tr_phase=cfg["tr_phase"],
-        output=output,
     )
 
 
@@ -224,6 +223,11 @@ CSV_COLUMNS = (
 )
 
 
+def stream_routes(geometry, nodes):
+    """Route over positions 1..nodes on every stream of the layout, by stream."""
+    return {s: stream_route(geometry, s, 1, nodes) for s in range(1, geometry.config.num_streams + 1)}
+
+
 def run_sweep(spec):
     """One ResultRow per (mode, hops, z), optimum flagged per (mode, hops)."""
     geometry = build_layout(spec.layout)
@@ -231,9 +235,7 @@ def run_sweep(spec):
     for mode in spec.modes:
         for hops in spec.hop_counts:
             nodes = hops + 1
-            routes = {
-                s: stream_route(geometry, s, 1, nodes) for s in range(1, spec.streams + 1)
-            }
+            routes = stream_routes(geometry, nodes)
             group = []
             for z in spec.z_values:
                 reports = stream_capacity(
@@ -291,8 +293,6 @@ def _cell(value):
         return "1" if value else "0"
     if isinstance(value, float):
         return repr(value)
-    if isinstance(value, Fraction):
-        return str(value)
     return str(value)
 
 

@@ -9,6 +9,7 @@ the schedules themselves and compare them with the closed-form predictions.
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 
 from multihop.schedule import (
     BROADCAST,
@@ -78,7 +79,6 @@ class SlotRecord:
     slot: int
     scheduled: tuple
     transmissions: dict
-    receptions: tuple  # (receiver, transmitter, label, residual after stripping)
     xors: tuple  # (node, combined label) formed at the end of this slot
     deliveries: tuple
     stored: tuple  # (node, direction, label) snapshot after the slot
@@ -91,7 +91,6 @@ class SimTrace:
     z: int
     period: int
     warmup_slots: int
-    schedule: object
     slots: list = field(default_factory=list)
     injections: dict = field(default_factory=dict)  # PacketId -> first tx slot
     deliveries: list = field(default_factory=list)
@@ -130,74 +129,7 @@ def run_tr_sim(nodes, z, num_periods=None):
     one hop per forward slot and sits out the reverse half-cycles, which is
     where the closed-form latency picks up its z * floor((N_o-2)/z) term.
     """
-    config = ScheduleConfig(nodes=nodes, z=z, mode=MODE_TR)
-    sched = tr_schedule(config)
-    period = sched.period
-    if num_periods is None:
-        num_periods = _auto_periods(nodes, z, period)
-    trace = SimTrace(
-        mode=MODE_TR,
-        nodes=nodes,
-        z=z,
-        period=period,
-        warmup_slots=WARMUP_PERIODS * period,
-        schedule=sched,
-    )
-    buf = {FORWARD: {n: None for n in range(1, nodes + 1)}, REVERSE: {n: None for n in range(1, nodes + 1)}}
-    seq = {FORWARD: 0, REVERSE: 0}
-
-    for t in range(1, num_periods * period + 1):
-        ts = sched.slot(t)
-        transmissions = {}
-        directions = {}
-        for tx in sorted(ts.transmitters, key=lambda x: x.node):
-            d = tx.direction
-            if (d == FORWARD and tx.node == 1) or (d == REVERSE and tx.node == nodes):
-                seq[d] += 1
-                pid = PacketId(direction=d, seq=seq[d], origin=tx.node)
-                trace.injections[pid] = t
-                packet = pid
-            else:
-                packet = buf[d][tx.node]
-                if packet is None:
-                    continue  # scheduled but nothing buffered yet
-                buf[d][tx.node] = None
-            transmissions[tx.node] = frozenset([packet])
-            directions[tx.node] = d
-        receptions = []
-        deliveries = []
-        for node in sorted(transmissions):
-            d = directions[node]
-            packet = next(iter(transmissions[node]))
-            rx = node + 1 if d == FORWARD else node - 1
-            receptions.append((rx, node, transmissions[node], transmissions[node]))
-            dest = nodes if d == FORWARD else 1
-            if rx == dest:
-                lat = t - trace.injections[packet] + 1
-                deliveries.append(Delivery(packet=packet, node=rx, slot=t, latency=lat))
-            else:
-                if buf[d][rx] is not None:
-                    trace.dropped += 1
-                buf[d][rx] = packet
-        trace.deliveries.extend(deliveries)
-        stored = tuple(
-            (n, d, frozenset([buf[d][n]]))
-            for d in (FORWARD, REVERSE)
-            for n in range(1, nodes + 1)
-            if buf[d][n] is not None
-        )
-        trace.slots.append(
-            SlotRecord(
-                slot=t,
-                scheduled=tuple(sorted(ts.nodes())),
-                transmissions=transmissions,
-                receptions=tuple(receptions),
-                xors=(),
-                deliveries=tuple(deliveries),
-                stored=stored,
-            )
-        )
-    return trace
+    return _simulate(tr_schedule(ScheduleConfig(nodes=nodes, z=z, mode=MODE_TR)), num_periods)
 
 
 def run_nc_sim(nodes, z, num_periods=None):
@@ -209,62 +141,68 @@ def run_nc_sim(nodes, z, num_periods=None):
     stores it for the opposite-neighbour hop. Endpoints decode the same way,
     which is what lets a combined packet serve both directions at once.
     """
-    config = ScheduleConfig(nodes=nodes, z=z, mode=MODE_NC)
-    sched = nc_schedule(config)
-    period = sched.period
+    return _simulate(nc_schedule(ScheduleConfig(nodes=nodes, z=z, mode=MODE_NC)), num_periods)
+
+
+def _simulate(schedule, num_periods):
+    """Replay a schedule with every payload an XOR label of source packets.
+
+    Node 1 injects forward and node N_o reverse at each of their slots. A
+    relay sends the XOR of what it stores for the directions it serves, one
+    for a directed transmitter and both for a broadcast. A receiver strips the
+    components it knows; a relay stores the residual for the next hop and an
+    endpoint delivers it. Store-and-forward labels never meet a second
+    component, so the same rules replay both modes.
+    """
+    config = schedule.config
+    nodes, period = config.nodes, schedule.period
     if num_periods is None:
-        num_periods = _auto_periods(nodes, z, period)
+        num_periods = _auto_periods(nodes, config.z, period)
     trace = SimTrace(
-        mode=MODE_NC,
+        mode=config.mode,
         nodes=nodes,
-        z=z,
+        z=config.z,
         period=period,
         warmup_slots=WARMUP_PERIODS * period,
-        schedule=sched,
     )
-    stored = {FORWARD: {n: None for n in range(1, nodes + 1)}, REVERSE: {n: None for n in range(1, nodes + 1)}}
+    serves = {FORWARD: (FORWARD,), REVERSE: (REVERSE,), BROADCAST: (FORWARD, REVERSE)}
+    # each slot of the period: its transmitters in node order, and its scheduled nodes
+    plan = [(sorted(ts.transmitters, key=lambda x: x.node), tuple(sorted(ts.nodes()))) for ts in schedule.sets]
+    broadcasters = {t.node for ts in schedule.sets for t in ts.transmitters if t.direction == BROADCAST}
+    stored = {d: dict.fromkeys(range(1, nodes + 1)) for d in (FORWARD, REVERSE)}
     known = {n: set() for n in range(1, nodes + 1)}
     seq = {FORWARD: 0, REVERSE: 0}
 
     for t in range(1, num_periods * period + 1):
-        ts = sched.slot(t)
-        transmissions = {}
-        for tx in sorted(ts.transmitters, key=lambda x: x.node):
+        transmitters, scheduled = plan[(t - 1) % period]
+        sent = []
+        for tx in transmitters:
             if tx.node == 1 or tx.node == nodes:
                 d = FORWARD if tx.node == 1 else REVERSE
                 seq[d] += 1
                 pid = PacketId(direction=d, seq=seq[d], origin=tx.node)
                 trace.injections[pid] = t
                 known[tx.node].add(pid)
-                transmissions[tx.node] = frozenset([pid])
+                label = frozenset([pid])
             else:
-                f, r = stored[FORWARD][tx.node], stored[REVERSE][tx.node]
-                if f and r:
-                    label = xor(f, r)
-                elif f or r:
-                    label = f or r
-                else:
-                    continue  # nothing to relay yet
-                stored[FORWARD][tx.node] = None
-                stored[REVERSE][tx.node] = None
-                transmissions[tx.node] = label
-        receptions = []
+                parts = [stored[d][tx.node] for d in serves[tx.direction] if stored[d][tx.node] is not None]
+                if not parts:
+                    continue  # scheduled but nothing to relay yet
+                label = reduce(xor, parts)
+                for d in serves[tx.direction]:
+                    stored[d][tx.node] = None
+            sent.append((tx, label))
         deliveries = []
         touched = set()
-        for node in sorted(transmissions):
-            label = transmissions[node]
-            for rx in (node - 1, node + 1):
-                if not (1 <= rx <= nodes):
-                    continue
-                residual = frozenset(p for p in label if p not in known[rx])
-                receptions.append((rx, node, label, residual))
+        for tx, label in sent:
+            for rx in tx.receivers(nodes):
+                residual = label - known[rx]
                 if not residual:
                     continue
                 if len(residual) == 1:
                     known[rx].add(next(iter(residual)))
-                travel = FORWARD if node < rx else REVERSE
-                at_destination = (travel == FORWARD and rx == nodes) or (travel == REVERSE and rx == 1)
-                if at_destination:
+                travel = FORWARD if tx.node < rx else REVERSE
+                if rx == (nodes if travel == FORWARD else 1):
                     if len(residual) == 1:
                         pid = next(iter(residual))
                         lat = t - trace.injections[pid] + 1
@@ -274,9 +212,10 @@ def run_nc_sim(nodes, z, num_periods=None):
                         trace.dropped += 1
                     stored[travel][rx] = residual
                     touched.add(rx)
+        # a pair counts as formed only where the node will send it as one broadcast
         xors = tuple(
             (n, xor(stored[FORWARD][n], stored[REVERSE][n]))
-            for n in sorted(touched)
+            for n in sorted(touched & broadcasters)
             if stored[FORWARD][n] and stored[REVERSE][n]
         )
         trace.deliveries.extend(deliveries)
@@ -289,9 +228,8 @@ def run_nc_sim(nodes, z, num_periods=None):
         trace.slots.append(
             SlotRecord(
                 slot=t,
-                scheduled=tuple(sorted(ts.nodes())),
-                transmissions=transmissions,
-                receptions=tuple(receptions),
+                scheduled=scheduled,
+                transmissions={tx.node: label for tx, label in sent},
                 xors=xors,
                 deliveries=tuple(deliveries),
                 stored=snapshot,

@@ -5,6 +5,7 @@ from dataclasses import dataclass, fields
 
 SPEED_OF_LIGHT = 2.998e8  # m/s
 BOLTZMANN = 1.38e-23  # J/K
+REFERENCE_DISTANCE_M = 1.0  # d_ref of the log-distance model
 
 
 @dataclass(frozen=True)
@@ -16,9 +17,7 @@ class RadioConfig:
     rx_gain: float = 1.0
     frequency_hz: float = 2e9
     path_loss_exponent: float = 4.0
-    reference_distance_m: float = 1.0
     noise_figure_db: float = 4.0
-    noise_figure_is_db: bool = True  # False reads noise_figure_db as the linear factor
     temperature_k: float = 300.0
     bandwidth_hz: float = 1e6
 
@@ -35,10 +34,6 @@ class RadioConfig:
             raise ValueError("frequency_hz must be positive")
         if not (2.0 <= self.path_loss_exponent <= 6.0):
             raise ValueError("path_loss_exponent must lie in [2, 6], got %r" % (self.path_loss_exponent,))
-        if self.reference_distance_m != 1.0:
-            raise ValueError("reference_distance_m is fixed at 1 m")
-        if not self.noise_figure_is_db and self.noise_figure_db <= 0:
-            raise ValueError("a linear noise factor must be positive")
         if self.temperature_k <= 0:
             raise ValueError("temperature_k must be positive")
         if self.bandwidth_hz <= 0:
@@ -48,18 +43,11 @@ class RadioConfig:
     def wavelength_m(self):
         return SPEED_OF_LIGHT / self.frequency_hz
 
-    @property
-    def noise_factor(self):
-        """Linear noise factor, whatever unit the config carries."""
-        if self.noise_figure_is_db:
-            return 10.0 ** (self.noise_figure_db / 10.0)
-        return self.noise_figure_db
-
 
 def path_constant(config):
     """Reference-distance gain K = Gt * Gr * (lambda / (4 pi d_ref))^2."""
     lam = config.wavelength_m
-    return config.tx_gain * config.rx_gain * (lam / (4.0 * math.pi * config.reference_distance_m)) ** 2
+    return config.tx_gain * config.rx_gain * (lam / (4.0 * math.pi * REFERENCE_DISTANCE_M)) ** 2
 
 
 def received_power(config, distance_m):
@@ -68,17 +56,15 @@ def received_power(config, distance_m):
     Valid from the 1 m reference outward; closer distances are outside the
     far-field model and rejected.
     """
-    if distance_m < config.reference_distance_m:
-        raise ValueError(
-            "distance %.3f m below the %.1f m reference" % (distance_m, config.reference_distance_m)
-        )
-    ratio = config.reference_distance_m / distance_m
+    if distance_m < REFERENCE_DISTANCE_M:
+        raise ValueError("distance %.3f m below the %.1f m reference" % (distance_m, REFERENCE_DISTANCE_M))
+    ratio = REFERENCE_DISTANCE_M / distance_m
     return config.tx_power_w * path_constant(config) * ratio ** config.path_loss_exponent
 
 
 def noise_power(config):
-    """Receiver noise floor F * k * T * B in watts."""
-    return config.noise_factor * BOLTZMANN * config.temperature_k * config.bandwidth_hz
+    """Receiver noise floor F * k * T * B in watts, F the linear noise factor."""
+    return 10.0 ** (config.noise_figure_db / 10.0) * BOLTZMANN * config.temperature_k * config.bandwidth_hz
 
 
 def sinr(signal_w, interference_w, noise_w):

@@ -10,10 +10,10 @@ from multihop.capacity import (
     capacity_per_slot,
     event_interference,
     event_sinr,
-    optimum_z,
     reception_events,
     stream_capacity,
 )
+from multihop.harness import ConfigError, ExperimentSpec, run_sweep
 from multihop.layout import LayoutConfig, build_layout, stream_route
 from multihop.radio import RadioConfig, noise_power, path_constant, shannon_rate
 from multihop.schedule import FORWARD, MODE_NC, MODE_TR, REVERSE
@@ -202,25 +202,40 @@ class TestTrPhase:
             build_schedules(routes, MODE_TR, 3, tr_phase="sideways")
 
 
+def optimum_spec(mode, z_values, hop_counts, streams):
+    return ExperimentSpec(
+        layout=LayoutConfig(nodes_per_stream=6, num_streams=streams),
+        radio=RadioConfig(),
+        modes=(mode,),
+        z_values=z_values,
+        hop_counts=hop_counts,
+        streams=streams,
+    )
+
+
+def flagged_z(rows, hops):
+    """The optimum-flagged Z of one hop count's group."""
+    (row,) = [r for r in rows if r.hops == hops and r.optimum_flag]
+    return row.z
+
+
 class TestOptimumZ:
+    """The sweep's optimum flag: the Z maximizing stream-1 capacity, ties to the smaller Z."""
+
     def test_one_stream_three_hops_store_and_forward(self):
-        geo, routes = one_stream(4)
-        best, reports = optimum_z(geo, routes, RadioConfig(), MODE_TR, (2, 3, 4, 5))
-        assert best == 3
-        assert set(reports) == {2, 3, 4, 5}
+        # hop count 4 widens the spec's Z bound so the 3-hop group sees Z = 5
+        rows = run_sweep(optimum_spec(MODE_TR, (2, 3, 4, 5), (3, 4), streams=1))
+        assert flagged_z(rows, 3) == 3
+        assert {r.z for r in rows if r.hops == 3} == {2, 3, 4, 5}
 
     def test_two_stream_coded_optimum(self):
-        radio = RadioConfig()
-        geo = build_layout(LayoutConfig(nodes_per_stream=6, num_streams=2))
-        for nodes in (3, 4, 5, 6):
-            routes = {s: stream_route(geo, s, 1, nodes) for s in (1, 2)}
-            best, _ = optimum_z(geo, routes, radio, MODE_NC, (2, 3, 4, 5))
-            assert best == 3
+        rows = run_sweep(optimum_spec(MODE_NC, (2, 3, 4, 5), (2, 3, 4, 5), streams=2))
+        for hops in (2, 3, 4, 5):
+            assert flagged_z(rows, hops) == 3
 
     def test_empty_candidate_list_rejected(self):
-        geo, routes = one_stream(4)
-        with pytest.raises(ValueError):
-            optimum_z(geo, routes, RadioConfig(), MODE_TR, ())
+        with pytest.raises(ConfigError, match="z_values must be non-empty"):
+            optimum_spec(MODE_TR, (), (3,), streams=1)
 
 
 class TestInterferenceMonotonicity:

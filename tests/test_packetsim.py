@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from multihop.packetsim import (
     Delivery,
@@ -21,7 +23,7 @@ from multihop.packetsim import (
     trace_to_csv_text,
     xor,
 )
-from multihop.schedule import FORWARD, REVERSE
+from multihop.schedule import FORWARD, MODE_NC, MODE_TR, REVERSE
 
 GRID = [(nodes, z) for nodes in range(3, 8) for z in range(2, 7)]
 
@@ -226,3 +228,45 @@ class TestTraceExport:
         assert lines[0] == "slot,scheduled,transmissions,xors,deliveries"
         assert len(lines) == 1 + trace.total_slots
         assert lines[1].startswith("1,")
+
+
+@st.composite
+def sim_cases(draw):
+    """(mode, nodes, z) with 3 <= nodes <= 64 and 2 <= z <= nodes."""
+    nodes = draw(st.integers(3, 64))
+    return draw(st.sampled_from((MODE_TR, MODE_NC))), nodes, draw(st.integers(2, nodes))
+
+
+class TestEngineProperties:
+    """Both modes run through one engine; these hold far past the hand-picked grids."""
+
+    @settings(
+        max_examples=20,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(sim_cases())
+    def test_rate_latency_drops_and_schedule(self, case):
+        mode, nodes, z = case
+        if mode == MODE_TR:
+            trace = run_tr_sim(nodes, z)
+            rate, fwd, rev = Fraction(1, z), tr_latency(nodes, z), tr_latency(nodes, z)
+        else:
+            trace = run_nc_sim(nodes, z)
+            rate, fwd, rev = Fraction(2, z), nc_latency_forward(nodes), nc_latency_reverse(nodes, z)
+        assert measured_delivery_rate(trace) == rate
+        assert measured_latency(trace, FORWARD) == fwd
+        assert measured_latency(trace, REVERSE) == rev
+        assert trace.dropped == 0
+        # every scheduled node sends once both directions have delivered: on
+        # long rows with a short period the pipeline fills after the warmup
+        filled = max(
+            min(d.slot for d in trace.deliveries if d.packet.direction == direction)
+            for direction in (FORWARD, REVERSE)
+        )
+        for rec in trace.slots:
+            assert set(rec.transmissions) <= set(rec.scheduled)
+            if rec.slot >= filled:
+                assert set(rec.transmissions) == set(rec.scheduled)

@@ -86,10 +86,6 @@ class TestNoisePower:
         expected = 10.0 ** 0.4 * BOLTZMANN * 300.0 * 1e6
         assert close(noise_power(cfg), expected)
 
-    def test_linear_noise_factor_flag(self):
-        linear = RadioConfig(noise_figure_db=10.0 ** 0.4, noise_figure_is_db=False)
-        assert close(noise_power(linear), noise_power(RadioConfig()))
-
 
 class TestSinr:
     def test_clean_link_at_one_hop(self):
@@ -150,10 +146,6 @@ class TestValidation:
         RadioConfig(path_loss_exponent=2.0)
         RadioConfig(path_loss_exponent=6.0)
 
-    def test_reference_distance_is_fixed(self):
-        with pytest.raises(ValueError):
-            RadioConfig(reference_distance_m=2.0)
-
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -177,7 +169,6 @@ class TestValidation:
             "rx_gain",
             "frequency_hz",
             "path_loss_exponent",
-            "reference_distance_m",
             "noise_figure_db",
             "temperature_k",
             "bandwidth_hz",
@@ -188,7 +179,5 @@ class TestValidation:
         with pytest.raises(ValueError, match="finite"):
             RadioConfig(**{field: value})
 
-    def test_linear_noise_factor_must_be_positive(self):
-        with pytest.raises(ValueError):
-            RadioConfig(noise_figure_db=0.0, noise_figure_is_db=False)
-        RadioConfig(noise_figure_db=-1.0)  # a dB figure may be negative
+    def test_db_noise_figure_may_be_negative(self):
+        RadioConfig(noise_figure_db=-1.0)
