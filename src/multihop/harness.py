@@ -62,13 +62,6 @@ def _parse_scalar(key, text, default):
     if not text:
         raise ConfigError("empty value for %r" % key)
     try:
-        if isinstance(default, bool):
-            low = text.lower()
-            if low in ("true", "1", "yes"):
-                return True
-            if low in ("false", "0", "no"):
-                return False
-            raise ValueError(text)
         if isinstance(default, int):
             return int(text)
         if isinstance(default, float):

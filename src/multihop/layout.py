@@ -68,6 +68,10 @@ class NodeGeometry:
         """Distance in metres between (stream, node) pairs a and b."""
         return float(self._dist[self._flat(*a), self._flat(*b)])
 
+    def route_indices(self, route):
+        """``distance_matrix`` index of each node of a route, in route order."""
+        return (route.stream - 1) * self.config.nodes_per_stream + np.asarray(route.nodes) - 1
+
     @property
     def distance_matrix(self):
         """Symmetric matrix over all nodes, flat order: stream 1 row then stream 2."""

@@ -253,3 +253,25 @@ class TestInterferenceMonotonicity:
         for key in by_z[2]:
             chain = [by_z[z][key] for z in (2, 3, 4, 5)]
             assert all(a >= b - 1e-30 for a, b in zip(chain, chain[1:]))
+
+
+class TestOverflowFailsLoudly:
+    def test_overflowing_gains_fail_loudly(self):
+        geo, routes = two_streams(5)
+        radio = RadioConfig(tx_gain=1e200, rx_gain=1e200)  # K overflows to inf
+        with pytest.raises(ValueError, match="stream 1 forward SINR is nan"):
+            stream_capacity(geo, routes, radio, MODE_NC, 3)
+
+    def test_overflowing_power_fails_loudly(self):
+        geo, routes = one_stream(5)
+        radio = RadioConfig(tx_power_w=1e300, tx_gain=1e10)  # finite K, infinite signal
+        with pytest.raises(ValueError, match="stream 1 (forward|reverse) SINR is inf"):
+            stream_capacity(geo, routes, radio, MODE_TR, 3)
+
+    def test_overflowing_rate_fails_loudly(self):
+        geo, routes = one_stream(5)
+        radio = RadioConfig(
+            bandwidth_hz=1e308, tx_power_w=1e300, tx_gain=1e5, rx_gain=1e5, path_loss_exponent=2.0
+        )  # finite SINRs, but B * log2(1 + SINR) overflows
+        with pytest.raises(ValueError, match="stream 1 capacity is inf bps"):
+            stream_capacity(geo, routes, radio, MODE_TR, 3)

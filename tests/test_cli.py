@@ -99,6 +99,12 @@ class TestExitCodes:
         assert cli.main(["sweep", "--streams", "1", "--nodes-per-stream", "4",
                          "--hop-counts", "2,3", "--z-values", "2,3"]) == 2
 
+    @pytest.mark.parametrize("verb", [["sweep"], ["capacity", "--mode", "NC", "--z", "3"]])
+    def test_overflowing_radio_is_an_input_error_not_a_mismatch(self, verb, capsys):
+        assert cli.main(verb + ["--tx-gain", "1e200", "--rx-gain", "1e200"]) == 1
+        err = capsys.readouterr().err
+        assert "SINR is nan" in err and "mismatch" not in err
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["--help"])

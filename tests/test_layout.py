@@ -119,6 +119,13 @@ class TestStreamRoute:
         route = stream_route(default_geometry(), 1, 3, 6)
         assert [route.layout_node(p) for p in range(1, 5)] == [3, 4, 5, 6]
 
+    def test_route_indices_follow_the_distance_matrix_order(self):
+        geo = default_geometry()
+        flat = geo.nodes()
+        for route in (stream_route(geo, 2, 5, 2), stream_route(geo, 1, 1, 6)):
+            want = [flat.index((route.stream, node)) for node in route.nodes]
+            assert geo.route_indices(route).tolist() == want
+
     def test_degenerate_route_rejected(self):
         with pytest.raises(ValueError):
             stream_route(default_geometry(), 1, 3, 3)
