@@ -40,6 +40,7 @@ from multihop.schedule import (
     MODE_NC,
     MODE_TR,
     REVERSE,
+    TR_PHASES,
     ScheduleConfig,
     Schedule,
     nc_schedule,
@@ -125,8 +126,8 @@ class ReceptionEventView(Sequence):
 
 def build_schedules(routes, mode, z, tr_phase="same"):
     """Per-stream schedules over route positions, slot-aligned across streams."""
-    if tr_phase not in ("same", "opposite"):
-        raise ValueError("tr_phase must be 'same' or 'opposite'")
+    if tr_phase not in TR_PHASES:
+        raise ValueError("tr_phase must be one of %r, got %r" % (TR_PHASES, tr_phase))
     schedules = {}
     for stream in sorted(routes):
         route = routes[stream]
@@ -235,8 +236,8 @@ def stream_capacity(geometry, routes, radio, mode, z, tr_phase="same"):
     order ``reception_events`` lists them (slot, stream, transmitter,
     receiver); no schedule or event object is built unless ``events`` is read.
     """
-    if tr_phase not in ("same", "opposite"):
-        raise ValueError("tr_phase must be 'same' or 'opposite'")
+    if tr_phase not in TR_PHASES:
+        raise ValueError("tr_phase must be one of %r, got %r" % (TR_PHASES, tr_phase))
     if not routes:
         raise ValueError("no routes to schedule")
     parts = []

@@ -35,6 +35,7 @@ from multihop.layout import build_layout
 from multihop.packetsim import (
     FORWARD,
     REVERSE,
+    SteadyStateError,
     measured_delivery_rate,
     measured_latency,
     render_trace,
@@ -56,50 +57,25 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-_SCALAR_OVERRIDES = (
-    ("--nodes-per-stream", "nodes_per_stream", int),
-    ("--streams", "num_streams", int),
-    ("--hop-length-m", "hop_length_m", float),
-    ("--row-separation-m", "row_separation_m", float),
-    ("--tx-power-w", "tx_power_w", float),
-    ("--tx-gain", "tx_gain", float),
-    ("--rx-gain", "rx_gain", float),
-    ("--frequency-hz", "frequency_hz", float),
-    ("--path-loss-exponent", "path_loss_exponent", float),
-    ("--noise-figure-db", "noise_figure_db", float),
-    ("--temperature-k", "temperature_k", float),
-    ("--bandwidth-hz", "bandwidth_hz", float),
-)
-
-_LIST_OVERRIDES = (
-    ("--modes", "modes"),
-    ("--z-values", "z_values"),
-    ("--hop-counts", "hop_counts"),
-)
+# every config key is a flag, the key with dashes, unless renamed here
+_FLAG_ALIASES = {"num_streams": "streams"}
 
 
 def _add_common(parser, lists=False):
     parser.add_argument("--config", help="flat key = value config file")
-    for flag, key, typ in _SCALAR_OVERRIDES:
-        parser.add_argument(flag, dest=key, type=typ, default=None)
-    parser.add_argument("--tr-phase", dest="tr_phase", choices=("same", "opposite"), default=None)
-    if lists:
-        for flag, key in _LIST_OVERRIDES:
-            parser.add_argument(flag, dest=key, default=None, help="comma separated")
+    for key, default in DEFAULTS.items():
+        is_list = isinstance(default, tuple)
+        if lists or not is_list:
+            flag = "--" + _FLAG_ALIASES.get(key, key).replace("_", "-")
+            parser.add_argument(flag, dest=key, help="comma separated" if is_list else None)
 
 
 def _effective_config(args):
     cfg = load_config(args.config) if args.config else dict(DEFAULTS)
-    for _, key, _ in _SCALAR_OVERRIDES:
-        value = getattr(args, key, None)
-        if value is not None:
-            cfg[key] = value
-    if getattr(args, "tr_phase", None) is not None:
-        cfg["tr_phase"] = args.tr_phase
-    for _, key in _LIST_OVERRIDES:
-        value = getattr(args, key, None)
-        if value is not None:
-            cfg[key] = parse_value(key, value)
+    for key in DEFAULTS:
+        text = getattr(args, key, None)
+        if text is not None:
+            cfg[key] = parse_value(key, text)
     return cfg
 
 
@@ -125,8 +101,8 @@ def cmd_layout(args):
 
 def cmd_capacity(args):
     cfg = _effective_config(args)
-    hops = args.hops if args.hops is not None else cfg["nodes_per_stream"] - 1
     geometry = build_layout(layout_from_config(cfg))
+    hops = args.hops if args.hops is not None else geometry.config.nodes_per_stream - 1
     routes = stream_routes(geometry, hops + 1)
     radio = radio_from_config(cfg)
     reports = stream_capacity(geometry, routes, radio, args.mode, args.z, tr_phase=cfg["tr_phase"])
@@ -255,7 +231,7 @@ def main(argv=None):
     except EngineMismatchError as exc:
         print("engine mismatch: %s" % exc, file=sys.stderr)
         return 2
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError, SteadyStateError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

@@ -13,7 +13,7 @@ streams. Two of that table's cells are self-contradicted by the narrative
 around it; they are carried with notes rather than trusted.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from fractions import Fraction
 
 from multihop.capacity import capacity_per_slot, stream_capacity
@@ -25,7 +25,7 @@ from multihop.packetsim import (
     run_tr_sim,
 )
 from multihop.radio import RadioConfig
-from multihop.schedule import FORWARD, MODE_NC, MODE_TR, REVERSE
+from multihop.schedule import FORWARD, MODE_NC, MODE_TR, REVERSE, TR_PHASES
 
 
 class ConfigError(ValueError):
@@ -36,21 +36,12 @@ class EngineMismatchError(RuntimeError):
     """Analytical and packet engines disagree; a bug, not a result."""
 
 
+# Every config key, its type and its default; the CLI flags are derived from it.
 DEFAULTS = {
-    "nodes_per_stream": 5,
-    "num_streams": 2,
-    "hop_length_m": 100.0,
-    "row_separation_m": 300.0,
-    "tx_power_w": 0.1,
-    "tx_gain": 1.0,
-    "rx_gain": 1.0,
-    "frequency_hz": 2.0e9,
-    "path_loss_exponent": 4.0,
-    "noise_figure_db": 4.0,
-    "temperature_k": 300.0,
-    "bandwidth_hz": 1.0e6,
+    **asdict(LayoutConfig()),
+    **asdict(RadioConfig()),
     "tr_phase": "same",
-    "modes": ("TR", "NC"),
+    "modes": (MODE_TR, MODE_NC),
     "z_values": (2, 3, 4, 5),
     # hop_counts must fit inside nodes_per_stream-1 with the defaults above
     "hop_counts": (2, 3, 4),
@@ -62,25 +53,23 @@ def _parse_scalar(key, text, default):
     if not text:
         raise ConfigError("empty value for %r" % key)
     try:
-        if isinstance(default, int):
-            return int(text)
-        if isinstance(default, float):
-            return float(text)
+        return type(default)(text)
     except ValueError:
         raise ConfigError("bad value %r for %r" % (text, key)) from None
-    return text
 
 
 def parse_value(key, text):
     """Parse one config value, a comma-separated list where the default is a tuple."""
     default = DEFAULTS[key]
     if isinstance(default, tuple):
-        element = default[0] if default else ""
         parts = [p for p in (s.strip() for s in text.split(",")) if p]
         if not parts:
             raise ConfigError("empty list for %r" % key)
-        return tuple(_parse_scalar(key, p, element) for p in parts)
-    return _parse_scalar(key, text, default)
+        return tuple(_parse_scalar(key, p, default[0]) for p in parts)
+    value = _parse_scalar(key, text, default)
+    if key == "tr_phase" and value not in TR_PHASES:
+        raise ConfigError("tr_phase must be one of %r, got %r" % (TR_PHASES, value))
+    return value
 
 
 def parse_config_text(text):
@@ -109,26 +98,16 @@ def load_config(path):
     return parse_config_text(text)
 
 
-def layout_from_config(cfg, num_streams=None):
-    return LayoutConfig(
-        nodes_per_stream=cfg["nodes_per_stream"],
-        num_streams=cfg["num_streams"] if num_streams is None else num_streams,
-        hop_length_m=cfg["hop_length_m"],
-        row_separation_m=cfg["row_separation_m"],
-    )
+def _from_config(cls, cfg):
+    return cls(**{f.name: cfg[f.name] for f in fields(cls)})
+
+
+def layout_from_config(cfg):
+    return _from_config(LayoutConfig, cfg)
 
 
 def radio_from_config(cfg):
-    return RadioConfig(
-        tx_power_w=cfg["tx_power_w"],
-        tx_gain=cfg["tx_gain"],
-        rx_gain=cfg["rx_gain"],
-        frequency_hz=cfg["frequency_hz"],
-        path_loss_exponent=cfg["path_loss_exponent"],
-        noise_figure_db=cfg["noise_figure_db"],
-        temperature_k=cfg["temperature_k"],
-        bandwidth_hz=cfg["bandwidth_hz"],
-    )
+    return _from_config(RadioConfig, cfg)
 
 
 @dataclass(frozen=True)
@@ -169,19 +148,18 @@ class ExperimentSpec:
         for z in self.z_values:
             if not 2 <= z <= top:
                 raise ConfigError("z=%r outside [2, %d] for these hop counts" % (z, top))
-        if self.tr_phase not in ("same", "opposite"):
-            raise ConfigError("tr_phase must be 'same' or 'opposite'")
+        if self.tr_phase not in TR_PHASES:
+            raise ConfigError("tr_phase must be one of %r, got %r" % (TR_PHASES, self.tr_phase))
 
 
-def spec_from_config(cfg, streams=None):
-    streams = cfg["num_streams"] if streams is None else streams
+def spec_from_config(cfg):
     return ExperimentSpec(
-        layout=layout_from_config(cfg, num_streams=streams),
+        layout=layout_from_config(cfg),
         radio=radio_from_config(cfg),
         modes=tuple(cfg["modes"]),
         z_values=tuple(cfg["z_values"]),
         hop_counts=tuple(cfg["hop_counts"]),
-        streams=streams,
+        streams=cfg["num_streams"],
         tr_phase=cfg["tr_phase"],
     )
 
@@ -201,19 +179,8 @@ class ResultRow:
     sim_latency_rev: int
 
 
-CSV_COLUMNS = (
-    "streams",
-    "mode",
-    "hops",
-    "z",
-    "forward_bottleneck_bps",
-    "reverse_bottleneck_bps",
-    "capacity_bps",
-    "optimum_flag",
-    "sim_delivery_rate",
-    "sim_latency_fwd",
-    "sim_latency_rev",
-)
+_ROW_FIELDS = fields(ResultRow)
+CSV_COLUMNS = tuple(f.name for f in _ROW_FIELDS)
 
 
 def stream_routes(geometry, nodes):
@@ -301,6 +268,13 @@ def write_csv(rows, path):
         fh.write(rows_to_csv_text(rows))
 
 
+def _flag(text):
+    """A bool cell, written as 0 or 1 by ``_cell``."""
+    if text not in ("0", "1"):
+        raise ValueError("flag must be 0 or 1, got %r" % (text,))
+    return text == "1"
+
+
 def parse_csv_text(text):
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines or tuple(lines[0].split(",")) != CSV_COLUMNS:
@@ -310,21 +284,11 @@ def parse_csv_text(text):
         parts = line.split(",")
         if len(parts) != len(CSV_COLUMNS):
             raise ConfigError("bad CSV row %r" % line)
-        rows.append(
-            ResultRow(
-                streams=int(parts[0]),
-                mode=parts[1],
-                hops=int(parts[2]),
-                z=int(parts[3]),
-                forward_bottleneck_bps=float(parts[4]),
-                reverse_bottleneck_bps=float(parts[5]),
-                capacity_bps=float(parts[6]),
-                optimum_flag=parts[7] == "1",
-                sim_delivery_rate=Fraction(parts[8]),
-                sim_latency_fwd=int(parts[9]),
-                sim_latency_rev=int(parts[10]),
-            )
-        )
+        try:
+            cells = [(_flag if f.type is bool else f.type)(cell) for f, cell in zip(_ROW_FIELDS, parts)]
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ConfigError("bad CSV row %r: %s" % (line, exc)) from None
+        rows.append(ResultRow(*cells))
     return rows
 
 
@@ -528,7 +492,7 @@ def table4_spec(cfg=None, streams=1, radio=None):
     cfg["modes"] = (MODE_TR, MODE_NC)
     cfg["z_values"] = (2, 3, 4, 5)
     cfg["hop_counts"] = TABLE4_HOPS
-    spec = spec_from_config(cfg, streams=streams)
+    spec = spec_from_config(cfg)
     if radio is not None:
         spec = replace(spec, radio=radio)
     return spec

@@ -38,6 +38,12 @@ class RadioConfig:
             raise ValueError("temperature_k must be positive")
         if self.bandwidth_hz <= 0:
             raise ValueError("bandwidth_hz must be positive")
+        try:
+            noise = noise_power(self)
+        except OverflowError:
+            noise = math.inf
+        if not (math.isfinite(noise) and noise > 0):
+            raise ValueError("noise floor F*k*T*B must be finite and positive, got %r W" % (noise,))
 
     @property
     def wavelength_m(self):

@@ -15,6 +15,9 @@ BROADCAST = "broadcast"
 MODE_TR = "TR"
 MODE_NC = "NC"
 
+# relay phasing of stream 2 against stream 1 under TR
+TR_PHASES = ("same", "opposite")
+
 
 @dataclass(frozen=True)
 class ScheduleConfig:

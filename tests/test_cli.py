@@ -105,6 +105,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "SINR is nan" in err and "mismatch" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--noise-figure-db", "4000"],
+            ["capacity", "--mode", "TR", "--z", "4", "--streams", "1", "--noise-figure-db", "-4000"],
+            ["sweep", "--temperature-k", "1e300", "--bandwidth-hz", "1e300"],
+        ],
+    )
+    def test_noise_floor_out_of_range_is_an_input_error(self, argv, capsys):
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: noise floor") and "SINR" not in err
+
+    @pytest.mark.parametrize("periods", ["2", "0"])
+    def test_simulate_with_too_few_periods(self, periods, capsys):
+        argv = ["simulate", "--mode", "TR", "--z", "3", "--hops", "3", "--periods", periods]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["--help"])

@@ -8,6 +8,7 @@ import pytest
 
 from multihop.capacity import stream_capacity
 from multihop.harness import (
+    CSV_COLUMNS,
     DEFAULTS,
     ConfigError,
     EngineMismatchError,
@@ -224,6 +225,22 @@ class TestCsv:
     def test_delivery_rate_survives_as_a_fraction(self, rows):
         parsed = parse_csv_text(rows_to_csv_text(rows))
         assert any(r.sim_delivery_rate == Fraction(1, 3) for r in parsed)
+
+    @pytest.mark.parametrize(
+        "column, cell",
+        [("optimum_flag", "yes"), ("optimum_flag", "2"), ("optimum_flag", "true"),
+         ("optimum_flag", ""), ("optimum_flag", " 1"), ("streams", "one"), ("hops", "2.5"),
+         ("capacity_bps", "fast"), ("sim_delivery_rate", "1/0"), ("sim_delivery_rate", "half"),
+         ("sim_latency_rev", "")],
+    )
+    def test_bad_cell_is_rejected_naming_the_row(self, rows, column, cell):
+        header, first = rows_to_csv_text(rows[:1]).splitlines()
+        cells = first.split(",")
+        cells[CSV_COLUMNS.index(column)] = cell
+        bad = ",".join(cells)
+        with pytest.raises(ConfigError, match="bad CSV row") as exc:
+            parse_csv_text("\n".join([header, bad]))
+        assert bad in str(exc.value)
 
 
 class TestReferenceComparison:

@@ -181,3 +181,21 @@ class TestValidation:
 
     def test_db_noise_figure_may_be_negative(self):
         RadioConfig(noise_figure_db=-1.0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"noise_figure_db": 4000.0},  # 10 ** 400 overflows a float
+            {"noise_figure_db": -4000.0},  # noise factor underflows to 0
+            {"temperature_k": 1e300, "bandwidth_hz": 1e300},  # k*T*B is inf
+        ],
+    )
+    def test_noise_floor_must_be_finite_and_positive(self, kwargs):
+        with pytest.raises(ValueError, match="noise floor"):
+            RadioConfig(**kwargs)
+
+    def test_extreme_but_representable_noise_floor_accepted(self):
+        for kwargs in ({"noise_figure_db": 3000.0}, {"noise_figure_db": -3000.0},
+                       {"temperature_k": 1e100, "bandwidth_hz": 1e100}):
+            noise = noise_power(RadioConfig(**kwargs))
+            assert math.isfinite(noise) and noise > 0
