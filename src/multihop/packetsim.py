@@ -4,12 +4,18 @@ Sources stay saturated: the low end injects a fresh packet at every one of its
 transmit slots, the high end likewise in the opposite direction. Delivery here
 never depends on SINR; the point is to measure latency and delivery rate of
 the schedules themselves and compare them with the closed-form predictions.
+
+Inside the engine a label is an int with bit ``PacketId.alphabet_index`` set
+per component: XOR is ``^``, a strip is ``& ~known`` and a lone component has
+``r & (r - 1) == 0``. A run keeps one compact log entry per slot;
+``SimTrace.slots`` turns the log into ``SlotRecord``s of ``PacketId``
+frozensets on first read, so measuring a trace never builds them.
 """
 
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import cache, cached_property
 
 from multihop.schedule import (
     BROADCAST,
@@ -91,14 +97,50 @@ class SimTrace:
     z: int
     period: int
     warmup_slots: int
-    slots: list = field(default_factory=list)
     injections: dict = field(default_factory=dict)  # PacketId -> first tx slot
     deliveries: list = field(default_factory=list)
     dropped: int = 0  # stored packets overwritten before being relayed
+    _schedule: object = field(default=None, repr=False)
+    # per slot: ([node, label, ...] sent, nodes that stored a label, deliveries
+    # so far, forward and reverse label held per node), labels as bitmasks
+    _log: list = field(default_factory=list, repr=False)
 
     @property
     def total_slots(self):
-        return len(self.slots)
+        return len(self._log)
+
+    @cached_property
+    def slots(self):
+        """One SlotRecord per timeslot, built from the log on first read."""
+        packets = {1 << p.alphabet_index: p for p in self.injections}
+        sets = self._schedule.sets
+        scheduled = [tuple(sorted(ts.nodes())) for ts in sets]
+        broadcasters = {t.node for ts in sets for t in ts.transmitters if t.direction == BROADCAST}
+
+        @cache
+        def label(mask):
+            out = []
+            while mask:
+                out.append(packets[mask & -mask])
+                mask &= mask - 1
+            return frozenset(out)
+
+        records, done = [], 0
+        for t, (sent, touched, delivered, fwd, rev) in enumerate(self._log, 1):
+            xors = [(n, fwd[n] ^ rev[n]) for n in sorted(broadcasters.intersection(touched)) if fwd[n] and rev[n]]
+            held = [(n, d, m) for d, row in ((FORWARD, fwd), (REVERSE, rev)) for n, m in enumerate(row) if m]
+            records.append(
+                SlotRecord(
+                    slot=t,
+                    scheduled=scheduled[(t - 1) % self.period],
+                    transmissions=dict(zip(sent[::2], map(label, sent[1::2]))),
+                    xors=tuple((n, label(mask)) for n, mask in xors),
+                    deliveries=tuple(self.deliveries[done:delivered]),
+                    stored=tuple((n, d, label(mask)) for n, d, mask in held),
+                )
+            )
+            done = delivered
+        return records
 
 
 def tr_latency(nodes, z):
@@ -152,89 +194,68 @@ def _simulate(schedule, num_periods):
     for a directed transmitter and both for a broadcast. A receiver strips the
     components it knows; a relay stores the residual for the next hop and an
     endpoint delivers it. Store-and-forward labels never meet a second
-    component, so the same rules replay both modes.
+    component, so the same rules replay both modes. The schedules are
+    half-duplex, so each transmission is received as soon as it is formed.
     """
     config = schedule.config
     nodes, period = config.nodes, schedule.period
     if num_periods is None:
         num_periods = _auto_periods(nodes, config.z, period)
-    trace = SimTrace(
-        mode=config.mode,
-        nodes=nodes,
-        z=config.z,
-        period=period,
-        warmup_slots=WARMUP_PERIODS * period,
-    )
-    serves = {FORWARD: (FORWARD,), REVERSE: (REVERSE,), BROADCAST: (FORWARD, REVERSE)}
-    # each slot of the period: its transmitters in node order, and its scheduled nodes
-    plan = [(sorted(ts.transmitters, key=lambda x: x.node), tuple(sorted(ts.nodes()))) for ts in schedule.sets]
-    broadcasters = {t.node for ts in schedule.sets for t in ts.transmitters if t.direction == BROADCAST}
-    stored = {d: dict.fromkeys(range(1, nodes + 1)) for d in (FORWARD, REVERSE)}
-    known = {n: set() for n in range(1, nodes + 1)}
-    seq = {FORWARD: 0, REVERSE: 0}
+    trace = SimTrace(mode=config.mode, nodes=nodes, z=config.z, period=period,
+                     warmup_slots=WARMUP_PERIODS * period, _schedule=schedule)
+    serves = {FORWARD: (0,), REVERSE: (1,), BROADCAST: (0, 1)}  # indices into stored
+    ends = (1, nodes)
+    # each slot of the period: its transmitters in node order as (node, directions
+    # served, ((receiver, direction of travel, receiver is an endpoint), ...))
+    plan = [
+        [
+            (tx.node, serves[tx.direction], tuple((rx, int(rx < tx.node), rx in ends) for rx in tx.receivers(nodes)))
+            for tx in sorted(ts.transmitters, key=lambda x: x.node)
+        ]
+        for ts in schedule.sets
+    ]
+    stored = ([0] * (nodes + 1), [0] * (nodes + 1))  # forward, reverse label held per node
+    known = [0] * (nodes + 1)
+    seq = [0, 0]
+    origin = {}  # one-component label -> (PacketId, injection slot)
 
     for t in range(1, num_periods * period + 1):
-        transmitters, scheduled = plan[(t - 1) % period]
-        sent = []
-        for tx in transmitters:
-            if tx.node == 1 or tx.node == nodes:
-                d = FORWARD if tx.node == 1 else REVERSE
+        sent, touched = [], []
+        for node, dirs, receivers in plan[(t - 1) % period]:
+            if node == 1 or node == nodes:
+                d = 0 if node == 1 else 1
                 seq[d] += 1
-                pid = PacketId(direction=d, seq=seq[d], origin=tx.node)
+                pid = PacketId(direction=(FORWARD, REVERSE)[d], seq=seq[d], origin=node)
                 trace.injections[pid] = t
-                known[tx.node].add(pid)
-                label = frozenset([pid])
+                label = 1 << pid.alphabet_index
+                origin[label] = (pid, t)
+                known[node] |= label
             else:
-                parts = [stored[d][tx.node] for d in serves[tx.direction] if stored[d][tx.node] is not None]
-                if not parts:
+                label = held = 0
+                for d in dirs:
+                    label ^= stored[d][node]
+                    held |= stored[d][node]
+                    stored[d][node] = 0
+                if not held:
                     continue  # scheduled but nothing to relay yet
-                label = reduce(xor, parts)
-                for d in serves[tx.direction]:
-                    stored[d][tx.node] = None
-            sent.append((tx, label))
-        deliveries = []
-        touched = set()
-        for tx, label in sent:
-            for rx in tx.receivers(nodes):
-                residual = label - known[rx]
+            sent += (node, label)
+            for rx, d, endpoint in receivers:
+                residual = label & ~known[rx]
                 if not residual:
                     continue
-                if len(residual) == 1:
-                    known[rx].add(next(iter(residual)))
-                travel = FORWARD if tx.node < rx else REVERSE
-                if rx == (nodes if travel == FORWARD else 1):
-                    if len(residual) == 1:
-                        pid = next(iter(residual))
-                        lat = t - trace.injections[pid] + 1
-                        deliveries.append(Delivery(packet=pid, node=rx, slot=t, latency=lat))
+                single = not residual & (residual - 1)
+                if single:
+                    known[rx] |= residual
+                if endpoint:
+                    if single:
+                        pid, injected = origin[residual]
+                        trace.deliveries.append(Delivery(packet=pid, node=rx, slot=t, latency=t - injected + 1))
                 else:
-                    if stored[travel][rx] is not None:
+                    if stored[d][rx]:
                         trace.dropped += 1
-                    stored[travel][rx] = residual
-                    touched.add(rx)
-        # a pair counts as formed only where the node will send it as one broadcast
-        xors = tuple(
-            (n, xor(stored[FORWARD][n], stored[REVERSE][n]))
-            for n in sorted(touched & broadcasters)
-            if stored[FORWARD][n] and stored[REVERSE][n]
-        )
-        trace.deliveries.extend(deliveries)
-        snapshot = tuple(
-            (n, d, stored[d][n])
-            for d in (FORWARD, REVERSE)
-            for n in range(1, nodes + 1)
-            if stored[d][n] is not None
-        )
-        trace.slots.append(
-            SlotRecord(
-                slot=t,
-                scheduled=scheduled,
-                transmissions={tx.node: label for tx, label in sent},
-                xors=xors,
-                deliveries=tuple(deliveries),
-                stored=snapshot,
-            )
-        )
+                    stored[d][rx] = residual
+                    touched.append(rx)
+        trace._log.append((sent, touched, len(trace.deliveries), tuple(stored[0]), tuple(stored[1])))
     return trace
 
 
@@ -294,6 +315,8 @@ def render_trace(trace, first=1, last=None):
     """Slot-by-slot text table of a trace, one line per timeslot."""
     if last is None:
         last = trace.total_slots
+    if not 1 <= first <= last <= trace.total_slots:
+        raise ValueError("slots %d..%d outside the trace's 1..%d" % (first, last, trace.total_slots))
     head = "%s nodes=%d z=%d period=%d" % (trace.mode, trace.nodes, trace.z, trace.period)
     rows = [("slot", "transmissions", "xor formed", "deliveries")]
     for rec in trace.slots[first - 1 : last]:

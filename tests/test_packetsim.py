@@ -1,5 +1,6 @@
 """Packet-engine tests: XOR algebra, golden trace, latency and rate oracles."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from multihop import harness, packetsim
 from multihop.packetsim import (
     Delivery,
     PacketId,
@@ -23,7 +25,16 @@ from multihop.packetsim import (
     trace_to_csv_text,
     xor,
 )
-from multihop.schedule import FORWARD, MODE_NC, MODE_TR, REVERSE
+from multihop.schedule import (
+    BROADCAST,
+    FORWARD,
+    MODE_NC,
+    MODE_TR,
+    REVERSE,
+    ScheduleConfig,
+    nc_schedule,
+    tr_schedule,
+)
 
 GRID = [(nodes, z) for nodes in range(3, 8) for z in range(2, 7)]
 
@@ -270,3 +281,175 @@ class TestEngineProperties:
             assert set(rec.transmissions) <= set(rec.scheduled)
             if rec.slot >= filled:
                 assert set(rec.transmissions) == set(rec.scheduled)
+
+
+class TestRenderRange:
+    def test_rows_cover_exactly_the_requested_slots(self, trace):
+        text = render_trace(trace, first=2, last=3)
+        rows = text.splitlines()[3:]
+        assert [row.split()[0] for row in rows] == ["2", "3"]
+
+    @pytest.mark.parametrize("first,last", [(0, None), (0, 3), (-1, 3), (4, 3), (1, 69), (69, None)])
+    def test_out_of_range_slots_rejected(self, trace, first, last):
+        assert trace.total_slots == 68
+        with pytest.raises(ValueError):
+            render_trace(trace, first=first, last=last)
+
+
+# sha256 of (trace_to_csv_text, render_trace) for default-length runs, as the
+# frozenset-label engine wrote them; an engine change must reproduce them
+TRACE_DIGESTS = {
+    ("TR", 6, 2): (
+        "d28f2935cb454870ce18e0c4d761af8efff2d2bbef91602167fac8f9d5502305",
+        "300b55e737e2d2b5c6de504bd108a8682f1b3934b1cb7d25745a42c42cdeec53",
+    ),
+    ("TR", 6, 5): (
+        "cc0e720f66da5bda2946fc90fbb5f82e5997e8816bda6fe0767c3273d33f9c90",
+        "3aa2ecd4178343c0710d5d7accb6b0577e6655b19a68e337f201d70d1add9667",
+    ),
+    ("TR", 6, 6): (
+        "072c690339ff88109c6db4865e85b19abb9f67cc20c0e07c458220a93f53e1bf",
+        "0d94709939beb499ac5c841c96c5ca74e0699c4277a47f2ff554ce354eba3253",
+    ),
+    ("TR", 17, 2): (
+        "35ae5a7a6206a5cf2de2e44090eb3e83c5f4a808a7b4036f5f4ab8ae35d315bc",
+        "9c54b200804f8312f82c18ba9655c4559d307e9ae994dedfc69bac44892f1c22",
+    ),
+    ("TR", 17, 5): (
+        "7da8e49037623ab2ca1b404ba18c0929e7bc02a78eec27c975d1f1a2bf214582",
+        "939b6bace5175e4a9f80a4af0496487ba58f470fd3b9df16dbd1346efc8eecf4",
+    ),
+    ("TR", 17, 17): (
+        "9004789ee6269e4c7df18d7f808110453a0e5b80025d78c681dd331b5354e05c",
+        "b6c94a984403e9e57dd175cb8493aa11787388d40f6581b23b5f38686c1e22d8",
+    ),
+    ("TR", 29, 2): (
+        "1a57b89793e49a56c14e443fe5db122fc80936fee3aff437160ce1c3a28dc664",
+        "29a22b935a42c77c22e9befb318426deb95825abcdb856dc646c240a68416be2",
+    ),
+    ("TR", 29, 5): (
+        "427c2e4ea21949e35e21d5dc078e124e87bf1c4c1937a3bafc005bbd7246446b",
+        "dbe5c5eb5c5c0445abf7dc8e3b4d87767f5732a39a00817e53a53b2e37c8d441",
+    ),
+    ("TR", 29, 29): (
+        "1e797bb1e6a52cb5550323b9c6d5a29fe5f8086c9b7210be2fddf54fba2fa7fe",
+        "cb968be735b2ca64555dada647ade8a03be230419abe1074f39f9d1ce4a8b967",
+    ),
+    ("TR", 64, 2): (
+        "4edb70e5deba6083ba3ad89680ada208bf0b9214e4b9b32e14fcaf8851ec97bd",
+        "0ad80939962e598b63365a63d6c13d7a9b04ab1b5343a50aadc7c49824506e4d",
+    ),
+    ("TR", 64, 5): (
+        "70c77a40373bdc65b534823032843d9b7185332c255d4955b125dfe4169084d2",
+        "a6b51e85e14e60d6e371072053601c449f8382caa8c94c9b92b6326d1ba6ae5c",
+    ),
+    ("TR", 64, 64): (
+        "5a59aa85719afb0a89aaf980babdde124bcee153c190ae3d1a167082ef254239",
+        "46a27cb9b11f000895207fd4637f3d1978c231378df715319348d23d135b29a1",
+    ),
+    ("NC", 6, 2): (
+        "2e8d1821b3701f0635e9a4a41d77a7ec46f85f4a48c03a24af57d398dd7f248d",
+        "24e0b4fdde311aab16add9ceb0e43564304d55bcec438483c1826ab2e636efac",
+    ),
+    ("NC", 6, 5): (
+        "0313273e841d841b578813bb721de01920f8e427c6c4609e15ac8e1de6a52214",
+        "5e230546d80e51595d6c3ce4d0f2835606d9de407d74eac55ad263859dfd1409",
+    ),
+    ("NC", 6, 6): (
+        "540bea2ddcd35549bfcdfbd8a39b720aa7b8f14081ef91a3d6ad5b7d31a12260",
+        "e6aeccce183023ffe07f7aef8dbda114e67e223f7af1876a42cc607fda98084f",
+    ),
+    ("NC", 17, 2): (
+        "074dc341a087c90e5e85eed9836b71a9679f26b3d50d84615b3eed4b68dafd09",
+        "35cedbea6e2d1144d2ecab03e81122db20440564c8a6c295c1d279a5334ef0b8",
+    ),
+    ("NC", 17, 5): (
+        "1000cefdddb9cce251b13ca2798358c196e56ee787f797040593d7b6c3aaf6a2",
+        "5b94a4b1445b2e0cf4de0ca57da109e25e1814855cff36096c000813503723d4",
+    ),
+    ("NC", 17, 17): (
+        "991b02a6363a9eccd2f3bdb404abc9c85f087b812cc5b5ee191c4a422a456ad4",
+        "ae8bc51c5ebe5cb0be5b505b851bff3f0f488752e5039e7c7ed5f3827eb40e2c",
+    ),
+    ("NC", 29, 2): (
+        "01de68b3ac2852f6af020077a184a479678ae0865b1379bf8d74baacae651b3e",
+        "57bcb5be2acc7d2e1490a0c024f62b87b947ca84716bdac4c181c0f24b814d38",
+    ),
+    ("NC", 29, 5): (
+        "ca989b60ace1062ed6006f2156a7531dee6c5ab710c63c0a5edc9c654125c1df",
+        "e1407c4d6119df86bf1f7129d4746bcfc04dab2078c7dd999c95584e8add1bc6",
+    ),
+    ("NC", 29, 29): (
+        "dfbfecc9c89aa90509e2ab0d74bc81e41b711e4b8797323d8f23180d35952c0b",
+        "1e3bbb761c9cabf9106d146c820afb28f34ffd17b38712a2b5ff198b44e79e26",
+    ),
+    ("NC", 64, 2): (
+        "11344aa0fcd8e64a55e4900686d4e6998054696ba03c9cd8294335269bb0dc72",
+        "0b6287cf149bbd7300d9a004fc7c224bfef2440a0ac831c057e490717d3bc91c",
+    ),
+    ("NC", 64, 5): (
+        "67b8ac89c2daef17f7c203afda1dfc44616866d3f26783037df241549d6fb4d6",
+        "d537bacf4a7bfe83f35d03a3275e21078e6de4d795e13598b87f5a8fa5eb4fec",
+    ),
+    ("NC", 64, 64): (
+        "4a23d43b978c27302d9f78a811c8059e6df95aa98095f4a60707f6c6184beb17",
+        "6177127bfd2b83fc4a991fc7ccb2f5aec37ba5e8df15928731084d7b88ec8f32",
+    ),
+}
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("mode,nodes,z", sorted(TRACE_DIGESTS))
+def test_trace_text_is_pinned(mode, nodes, z):
+    trace = (run_tr_sim if mode == MODE_TR else run_nc_sim)(nodes, z)
+    assert (_sha(trace_to_csv_text(trace)), _sha(render_trace(trace))) == TRACE_DIGESTS[mode, nodes, z]
+
+
+class TestSlotRecordsOnDemand:
+    def test_sweep_builds_no_slot_records(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a SlotRecord was built")
+
+        monkeypatch.setattr(packetsim, "SlotRecord", refuse)
+        rows = harness.table4_rows(dict(harness.DEFAULTS))
+        assert len(rows) == 64
+        with pytest.raises(AssertionError):
+            run_nc_sim(4, 2).slots
+
+    def test_records_are_built_once(self):
+        trace = run_tr_sim(5, 3)
+        first = trace.slots
+        assert trace.slots is first
+        assert len(first) == trace.total_slots
+
+
+class TestSlotRecordProperties:
+    @settings(
+        max_examples=12,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(sim_cases())
+    def test_records_agree_with_the_trace(self, case):
+        mode, nodes, z = case
+        if mode == MODE_TR:
+            trace, schedule = run_tr_sim(nodes, z), tr_schedule(ScheduleConfig(nodes, z, MODE_TR))
+        else:
+            trace, schedule = run_nc_sim(nodes, z), nc_schedule(ScheduleConfig(nodes, z, MODE_NC))
+        broadcasters = {t.node for ts in schedule.sets for t in ts.transmitters if t.direction == BROADCAST}
+
+        def valid(label):
+            return isinstance(label, frozenset) and label and all(p in trace.injections for p in label)
+
+        assert len(trace.slots) == trace.total_slots
+        assert [d for rec in trace.slots for d in rec.deliveries] == trace.deliveries
+        for rec in trace.slots:
+            assert set(rec.transmissions) <= set(rec.scheduled)
+            assert all(valid(label) for label in rec.transmissions.values())
+            assert all(valid(label) and n in broadcasters for n, label in rec.xors)
+            assert all(valid(label) for _, _, label in rec.stored)
