@@ -16,10 +16,13 @@ P = Pt * K * (d_ref / D)^eta, built from the layout's distance matrix D, give
 every event's SINR: an event's signal is P[rx, tx], and its interference is
 the sum of P[rx] over the nodes on air in its slot, its own transmitter
 masked out. This is the physical interference model of Gupta and Kumar (The
-Capacity of Wireless Networks, IEEE Trans. IT 2000). Each direction's
-bottleneck is the Shannon rate of its lowest SINR. The report's ``events``
-builds the ``ReceptionEvent`` objects, with their per-event rates, only when
-it is read.
+Capacity of Wireless Networks, IEEE Trans. IT 2000). P depends only on the
+layout and the radio, so it is built once per layout and radio, together
+with the node pairs closer than the reference distance, and reused
+read-only by every later call with that geometry object and an equal
+radio. Each direction's bottleneck is the Shannon rate of its lowest SINR.
+The report's ``events`` builds the ``ReceptionEvent`` objects, with their
+per-event rates, only when it is read.
 
 ``build_schedules``, ``reception_events``, ``event_sinr`` and
 ``event_interference`` compute the same events and SINRs from schedule
@@ -30,7 +33,7 @@ is tested against.
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -229,6 +232,23 @@ def _period_events(mode, z, nodes, opposite):
     return slot, tx, rx
 
 
+@lru_cache(maxsize=1)
+def _received_power(geometry, radio):
+    """Read-only P[i, j], power node j delivers to node i, with a zero diagonal,
+    and the off-diagonal pairs closer than the reference (None when none are).
+
+    Keyed on the geometry object and the radio's values: a sweep or a scan
+    evaluates one layout and one radio at a time.
+    """
+    dist = geometry.distance_matrix
+    np.fill_diagonal(dist, np.inf)  # no node hears itself: zero power on the diagonal
+    close = dist < REFERENCE_DISTANCE_M
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # non-finite SINRs are raised by the caller
+        power = radio.tx_power_w * path_constant(radio) * (REFERENCE_DISTANCE_M / dist) ** radio.path_loss_exponent
+    power.flags.writeable = close.flags.writeable = False
+    return power, close if close.any() else None
+
+
 def stream_capacity(geometry, routes, radio, mode, z, tr_phase="same"):
     """Capacity report per stream; interference crosses streams either way.
 
@@ -252,8 +272,8 @@ def stream_capacity(geometry, routes, radio, mode, z, tr_phase="same"):
     slot, stream_of, tx, rx, tx_at, rx_at = (a[order] for a in (slot, stream_of, tx, rx, tx_at, rx_at))
     forward = rx > tx
 
-    dist = geometry.distance_matrix
-    on_air = np.zeros((slot.max() + 1, len(dist)), dtype=bool)  # row = slot
+    power, close = _received_power(geometry, radio)
+    on_air = np.zeros((slot.max() + 1, len(power)), dtype=bool)  # row = slot
     on_air[slot, tx_at] = True
     clash = np.flatnonzero(on_air[slot, rx_at])
     if clash.size:
@@ -262,14 +282,15 @@ def stream_capacity(geometry, routes, radio, mode, z, tr_phase="same"):
             "slot %d schedules node %d to receive from node %d while transmitting" % (slot[e], rx[e], tx[e])
         )
     listening = on_air[slot]  # (event, node): node on air in the event's slot
-    ref = REFERENCE_DISTANCE_M
-    too_close = (dist < ref)[rx_at] & listening
-    if too_close.any():
-        e, j = np.argwhere(too_close)[0]
-        raise ValueError("distance %.3f m below the %.1f m reference" % (dist[rx_at[e], j], ref))
+    if close is not None:
+        too_close = close[rx_at] & listening
+        if too_close.any():
+            e, j = np.argwhere(too_close)[0]
+            raise ValueError(
+                "distance %.3f m below the %.1f m reference"
+                % (geometry.distance_matrix[rx_at[e], j], REFERENCE_DISTANCE_M)
+            )
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # non-finite SINRs are raised below
-        np.fill_diagonal(dist, np.inf)  # no node hears itself: zero power on the diagonal
-        power = radio.tx_power_w * path_constant(radio) * (ref / dist) ** radio.path_loss_exponent
         heard = power[rx_at]
         heard *= listening
         heard[np.arange(len(rx_at)), tx_at] = 0.0  # masked, not subtracted: keeps small interference exact

@@ -1,5 +1,6 @@
 """Reception events, SINR evaluation, and capacity-per-slot behaviour."""
 
+import hashlib
 import math
 import random
 
@@ -13,8 +14,9 @@ from multihop.capacity import (
     reception_events,
     stream_capacity,
 )
+from multihop.cli import ALT_NOISE_FIGURE_DB, ALT_RX_GAIN, ALT_TX_GAIN
 from multihop.harness import ConfigError, ExperimentSpec, run_sweep
-from multihop.layout import LayoutConfig, build_layout, stream_route
+from multihop.layout import LayoutConfig, NodeGeometry, build_layout, stream_route
 from multihop.radio import RadioConfig, noise_power, path_constant, shannon_rate
 from multihop.schedule import FORWARD, MODE_NC, MODE_TR, REVERSE
 
@@ -275,3 +277,26 @@ class TestOverflowFailsLoudly:
         )  # finite SINRs, but B * log2(1 + SINR) overflows
         with pytest.raises(ValueError, match="stream 1 capacity is inf bps"):
             stream_capacity(geo, routes, radio, MODE_TR, 3)
+
+
+# sha256 over repr((forward, reverse, capacity)) of every report, taken
+# before the received-power matrix was cached across calls
+STRESS_PARITY_SHA256 = "e04ca4fa3d7fb2e95306e2168207c37ff03ebbb0c39a0ad19d9b45a4ce231149"
+
+
+def test_stress_capacities_are_pinned():
+    """TR/NC x Z 2..16 x both TR phases on two 100-node rows, default and
+    ``table4 --alt`` radios: bottlenecks and capacities stay bit-identical."""
+    geo = NodeGeometry(LayoutConfig(nodes_per_stream=100, num_streams=2))  # no size warning
+    routes = {s: stream_route(geo, s, 1, 100) for s in (1, 2)}
+    digest = hashlib.sha256()
+    for radio in (RadioConfig(), RadioConfig(tx_gain=ALT_TX_GAIN, rx_gain=ALT_RX_GAIN, noise_figure_db=ALT_NOISE_FIGURE_DB)):
+        for mode in (MODE_TR, MODE_NC):
+            for tr_phase in ("same", "opposite"):
+                for z in range(2, 17):
+                    reports = stream_capacity(geo, routes, radio, mode, z, tr_phase=tr_phase)
+                    for stream in sorted(reports):
+                        rep = reports[stream]
+                        values = (rep.forward_bottleneck_bps, rep.reverse_bottleneck_bps, rep.capacity_bps)
+                        digest.update(repr(values).encode())
+    assert digest.hexdigest() == STRESS_PARITY_SHA256
