@@ -11,11 +11,12 @@ analytical and packet engines disagree with each other.
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from multihop.capacity import stream_capacity
 from multihop.harness import (
     DEFAULTS,
+    TABLE4_GRID,
     ConfigError,
     EngineMismatchError,
     compare_table4,
@@ -31,7 +32,7 @@ from multihop.harness import (
     table4_rows,
     write_csv,
 )
-from multihop.layout import build_layout
+from multihop.layout import LayoutConfig, build_layout
 from multihop.packetsim import (
     FORWARD,
     REVERSE,
@@ -57,23 +58,36 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-# every config key is a flag, the key with dashes, unless renamed here
+# a config key's flag is the key with dashes, unless renamed here
 _FLAG_ALIASES = {"num_streams": "streams"}
 
+_SCALAR_KEYS = [key for key, default in DEFAULTS.items() if not isinstance(default, tuple)]
 
-def _add_common(parser, lists=False):
-    parser.add_argument("--config", help="flat key = value config file")
-    for key, default in DEFAULTS.items():
-        is_list = isinstance(default, tuple)
-        if lists or not is_list:
-            flag = "--" + _FLAG_ALIASES.get(key, key).replace("_", "-")
-            parser.add_argument(flag, dest=key, help="comma separated" if is_list else None)
+# the config keys each verb reads, and so offers as flags
+VERB_KEYS = {
+    "layout": [f.name for f in fields(LayoutConfig)],
+    "capacity": _SCALAR_KEYS,  # layout, radio and tr_phase
+    "simulate": ["nodes_per_stream"],  # the default --hops
+    "sweep": list(DEFAULTS),
+    "table4": [key for key in _SCALAR_KEYS if key not in TABLE4_GRID],
+}
+
+
+def _verb_parser(sub, verb, func, help):
+    """A verb's subparser with --config and a flag for each key the verb reads."""
+    p = sub.add_parser(verb, help=help)
+    p.set_defaults(func=func)
+    p.add_argument("--config", help="flat key = value config file")
+    for key in VERB_KEYS[verb]:
+        flag = "--" + _FLAG_ALIASES.get(key, key).replace("_", "-")
+        p.add_argument(flag, dest=key, help="comma separated" if isinstance(DEFAULTS[key], tuple) else None)
+    return p
 
 
 def _effective_config(args):
     cfg = load_config(args.config) if args.config else dict(DEFAULTS)
-    for key in DEFAULTS:
-        text = getattr(args, key, None)
+    for key in VERB_KEYS[args.command]:
+        text = getattr(args, key)
         if text is not None:
             cfg[key] = parse_value(key, text)
     return cfg
@@ -153,13 +167,11 @@ def cmd_sweep(args):
     cfg = _effective_config(args)
     spec = spec_from_config(cfg)
     rows = run_sweep(spec)
-    text = rows_to_csv_text(rows)
     if args.output and args.output != "-":
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        write_csv(rows, args.output)
         print("wrote %d rows to %s" % (len(rows), args.output))
     else:
-        print(text, end="")
+        print(rows_to_csv_text(rows), end="")
     return 0
 
 
@@ -189,37 +201,27 @@ def build_parser():
     parser = _Parser(prog="multihop", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("layout", help="print node positions and distances")
-    _add_common(p)
-    p.set_defaults(func=cmd_layout)
+    _verb_parser(sub, "layout", cmd_layout, "print node positions and distances")
 
-    p = sub.add_parser("capacity", help="single-configuration capacity report")
-    _add_common(p)
+    p = _verb_parser(sub, "capacity", cmd_capacity, "single-configuration capacity report")
     p.add_argument("--mode", required=True, choices=(MODE_TR, MODE_NC))
     p.add_argument("--z", required=True, type=int)
     p.add_argument("--hops", type=int, default=None)
-    p.set_defaults(func=cmd_capacity)
 
-    p = sub.add_parser("simulate", help="packet-level simulation of one stream")
-    _add_common(p)
+    p = _verb_parser(sub, "simulate", cmd_simulate, "packet-level simulation of one stream")
     p.add_argument("--mode", required=True, choices=(MODE_TR, MODE_NC))
     p.add_argument("--z", required=True, type=int)
     p.add_argument("--hops", type=int, default=None)
     p.add_argument("--periods", type=int, default=None)
     p.add_argument("--trace", action="store_true", help="print the slot-by-slot table")
     p.add_argument("--trace-csv", default=None, help="also write the trace as CSV")
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("sweep", help="full experiment sweep to CSV")
-    _add_common(p, lists=True)
+    p = _verb_parser(sub, "sweep", cmd_sweep, "full experiment sweep to CSV")
     p.add_argument("--output", default="-", help="CSV path, '-' for stdout")
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("table4", help="compare a reference-grid sweep against published values")
-    _add_common(p)
+    p = _verb_parser(sub, "table4", cmd_table4, "compare a reference-grid sweep against published values")
     p.add_argument("--alt", action="store_true", help="also run the fitted alternate parameters")
     p.add_argument("--output", default=None, help="also write the sweep rows as CSV")
-    p.set_defaults(func=cmd_table4)
     return parser
 
 

@@ -47,6 +47,8 @@ DEFAULTS = {
     "hop_counts": (2, 3, 4),
 }
 
+CAPACITY_REL_TOL = 1e-9  # check_consistency: capacity column vs the formula over its bottlenecks
+
 
 def _parse_scalar(key, text, default):
     text = text.strip()
@@ -73,8 +75,9 @@ def parse_value(key, text):
 
 
 def parse_config_text(text):
-    """Parse ``key = value`` lines over the defaults. Unknown keys are errors."""
+    """Parse ``key = value`` lines over the defaults. Unknown or repeated keys are errors."""
     values = dict(DEFAULTS)
+    seen = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -85,6 +88,9 @@ def parse_config_text(text):
         key = key.strip()
         if key not in DEFAULTS:
             raise ConfigError("line %d: unknown config key %r" % (lineno, key))
+        if key in seen:
+            raise ConfigError("line %d: config key %r already set on line %d" % (lineno, key, seen[key]))
+        seen[key] = lineno
         values[key] = parse_value(key, value)
     return values
 
@@ -119,16 +125,9 @@ class ExperimentSpec:
     modes: tuple
     z_values: tuple
     hop_counts: tuple
-    streams: int
     tr_phase: str = "same"
 
     def __post_init__(self):
-        if self.streams not in (1, 2):
-            raise ConfigError("streams must be 1 or 2, got %r" % (self.streams,))
-        if self.streams != self.layout.num_streams:
-            raise ConfigError(
-                "spec streams=%d but layout has %d" % (self.streams, self.layout.num_streams)
-            )
         for name in ("modes", "z_values", "hop_counts"):
             values = getattr(self, name)
             if len(set(values)) != len(values):
@@ -159,7 +158,6 @@ def spec_from_config(cfg):
         modes=tuple(cfg["modes"]),
         z_values=tuple(cfg["z_values"]),
         hop_counts=tuple(cfg["hop_counts"]),
-        streams=cfg["num_streams"],
         tr_phase=cfg["tr_phase"],
     )
 
@@ -205,7 +203,7 @@ def run_sweep(spec):
                 trace = run_tr_sim(nodes, z) if mode == MODE_TR else run_nc_sim(nodes, z)
                 group.append(
                     ResultRow(
-                        streams=spec.streams,
+                        streams=spec.layout.num_streams,
                         mode=mode,
                         hops=hops,
                         z=z,
@@ -228,7 +226,7 @@ def run_sweep(spec):
     return rows
 
 
-def check_consistency(rows, rel=1e-9):
+def check_consistency(rows):
     """Tie the two engines together; any mismatch is a defect."""
     for row in rows:
         want_rate = Fraction(1, row.z) if row.mode == MODE_TR else Fraction(2, row.z)
@@ -241,7 +239,7 @@ def check_consistency(rows, rel=1e-9):
             row.mode, row.z, row.forward_bottleneck_bps, row.reverse_bottleneck_bps
         )
         # written so that NaN on either side fails the check
-        if not abs(row.capacity_bps - want_cap) <= rel * abs(want_cap):
+        if not abs(row.capacity_bps - want_cap) <= CAPACITY_REL_TOL * abs(want_cap):
             raise EngineMismatchError(
                 "capacity %r inconsistent with bottlenecks (want %r, row %r)"
                 % (row.capacity_bps, want_cap, row)
@@ -381,10 +379,7 @@ class Table4Comparison:
 
 
 def _index_rows(rows):
-    by_key = {}
-    for row in rows:
-        by_key[(row.streams, row.mode, row.hops, row.z)] = row
-    return by_key
+    return {(row.streams, row.mode, row.hops, row.z): row for row in rows}
 
 
 def _computed_optimum(rows, streams, mode, hops):
@@ -484,14 +479,17 @@ def render_table4(comparison):
     return "\n".join(lines) + "\n"
 
 
+# The published grid. table4_spec sets these keys over any config, so the
+# table4 verb offers no flag for them; num_streams lists the table's columns.
+TABLE4_GRID = {
+    "nodes_per_stream": 6, "num_streams": (1, 2), "modes": (MODE_TR, MODE_NC),
+    "z_values": (2, 3, 4, 5), "hop_counts": TABLE4_HOPS,
+}
+
+
 def table4_spec(cfg=None, streams=1, radio=None):
-    """Sweep spec for the published grid: 6-node rows, hops 2-5, Z 2-5."""
-    cfg = dict(DEFAULTS if cfg is None else cfg)
-    cfg["nodes_per_stream"] = 6
-    cfg["num_streams"] = streams
-    cfg["modes"] = (MODE_TR, MODE_NC)
-    cfg["z_values"] = (2, 3, 4, 5)
-    cfg["hop_counts"] = TABLE4_HOPS
+    """Sweep spec for the published grid at one stream count."""
+    cfg = {**(DEFAULTS if cfg is None else cfg), **TABLE4_GRID, "num_streams": streams}
     spec = spec_from_config(cfg)
     if radio is not None:
         spec = replace(spec, radio=radio)
@@ -501,6 +499,6 @@ def table4_spec(cfg=None, streams=1, radio=None):
 def table4_rows(cfg=None, radio=None):
     """Both stream counts of the published grid, concatenated."""
     rows = []
-    for streams in (1, 2):
+    for streams in TABLE4_GRID["num_streams"]:
         rows.extend(run_sweep(table4_spec(cfg, streams=streams, radio=radio)))
     return rows

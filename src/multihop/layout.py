@@ -50,7 +50,7 @@ class NodeGeometry:
             rows.append(np.column_stack([xs, np.full(n, float(y))]))
         self._coords = np.vstack(rows)  # flat index: (stream-1)*n + (node-1)
         diff = self._coords[:, None, :] - self._coords[None, :, :]
-        self._dist = np.sqrt((diff ** 2).sum(axis=2))
+        self._dist = np.hypot(diff[..., 0], diff[..., 1])  # squaring overflows above ~1e154 m
 
     def _flat(self, stream, node):
         n = self.config.nodes_per_stream

@@ -211,7 +211,6 @@ def optimum_spec(mode, z_values, hop_counts, streams):
         modes=(mode,),
         z_values=z_values,
         hop_counts=hop_counts,
-        streams=streams,
     )
 
 

@@ -68,6 +68,10 @@ class TestConfigParsing:
         assert cfg["modes"] == ("NC",)
         assert cfg["bandwidth_hz"] == DEFAULTS["bandwidth_hz"]
 
+    def test_repeated_key_rejected_naming_both_lines(self):
+        with pytest.raises(ConfigError, match=r"line 3: config key 'tx_power_w' already set on line 1"):
+            parse_config_text("tx_power_w = 0.1\nnum_streams = 1\ntx_power_w = 0.2\n")
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             parse_config_text("power = 3")
@@ -104,7 +108,7 @@ class TestConfigParsing:
 class TestExperimentSpec:
     def test_defaults_build(self):
         spec = spec_from_config(dict(DEFAULTS))
-        assert spec.streams == 2
+        assert spec.layout.num_streams == 2
         assert spec.hop_counts == (2, 3, 4)
 
     def test_hops_must_fit_the_layout(self):
@@ -128,12 +132,6 @@ class TestExperimentSpec:
     def test_duplicate_entries_rejected(self, overrides):
         with pytest.raises(ConfigError, match="duplicate"):
             small_spec(**overrides)
-
-    def test_streams_must_match_layout(self):
-        spec = small_spec()
-        with pytest.raises(ConfigError):
-            replace(spec, streams=2)
-
 
 @pytest.fixture(scope="module")
 def rows():

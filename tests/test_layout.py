@@ -85,6 +85,15 @@ class TestGeometry:
                 want = math.hypot(ax - bx, ay - by)
                 assert math.isclose(m[i, j], want, rel_tol=1e-9, abs_tol=1e-9)
 
+    def test_huge_spacing_gives_finite_distances(self):
+        # squaring a 1e160 m difference overflows a float; the distances must not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            geo = default_geometry(hop_length_m=1e160, row_separation_m=1e160)
+        assert np.all(np.isfinite(geo.distance_matrix))
+        assert geo.distance((1, 1), (1, 2)) == 1e160
+        assert geo.distance((1, 3), (2, 3)) == 1e160
+
     def test_large_rows_build_with_a_warning(self):
         with pytest.warns(UserWarning):
             build_layout(LayoutConfig(nodes_per_stream=VALIDATED_MAX_NODES_PER_STREAM + 1, num_streams=1))
