@@ -28,7 +28,6 @@ from multihop.capacity import (
 from multihop.packetsim import (
     PacketId,
     SimTrace,
-    xor,
     run_tr_sim,
     run_nc_sim,
     measured_latency,

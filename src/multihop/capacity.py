@@ -21,8 +21,9 @@ layout and the radio, so it is built once per layout and radio, together
 with the node pairs closer than the reference distance, and reused
 read-only by every later call with that geometry object and an equal
 radio. Each direction's bottleneck is the Shannon rate of its lowest SINR.
-The report's ``events`` builds the ``ReceptionEvent`` objects, with their
-per-event rates, only when it is read.
+The report keeps the call's event columns as bytes; its ``events`` is a
+cached property that builds the ``ReceptionEvent`` objects, with their
+per-event rates, on first read.
 
 ``build_schedules``, ``reception_events``, ``event_sinr`` and
 ``event_interference`` compute the same events and SINRs from schedule
@@ -31,8 +32,7 @@ is tested against.
 """
 
 import math
-from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -76,55 +76,34 @@ class StreamCapacityReport:
     forward_bottleneck_bps: float
     reverse_bottleneck_bps: float
     capacity_bps: float
-    events: "ReceptionEventView"  # (ReceptionEvent, sinr, rate_bps) triples
-
-
-class ReceptionEventView(Sequence):
-    """One stream's (ReceptionEvent, sinr, rate_bps) triples in ``reception_events``
-    order, built on first read from the event arrays of a ``stream_capacity`` call."""
-
-    def __init__(self, stream, radio, slot, stream_of, tx, rx, sinrs):
-        self._stream = stream
-        self._radio = radio
-        self._arrays = (slot, stream_of, tx, rx, sinrs)
-        self._length = int((stream_of == stream).sum())
+    # the call's radio, then the slot, stream, transmitter and receiver
+    # columns and the SINRs of all its events in event order, as bytes: they
+    # compare and hash as values, at the size of the arrays
+    _events_of_call: tuple = field(repr=False)
 
     @cached_property
-    def _built(self):
-        slot, stream_of, tx, rx, sinrs = self._arrays
+    def events(self):
+        """(ReceptionEvent, sinr, rate_bps) triples in ``reception_events`` order,
+        built on first read."""
+        radio, columns, sinrs = self._events_of_call
+        slot, stream_of, tx, rx = np.frombuffer(columns, dtype=np.int64).reshape(4, -1).tolist()
+        sinrs = np.frombuffer(sinrs).tolist()
         on_air = {}
-        for s, pair in zip(slot.tolist(), zip(stream_of.tolist(), tx.tolist())):
+        for s, pair in zip(slot, zip(stream_of, tx)):
             on_air.setdefault(s, set()).add(pair)
         on_air = {s: frozenset(pairs) for s, pairs in on_air.items()}  # one set per slot
-        mine = stream_of == self._stream
         return tuple(
             (
                 ReceptionEvent(
-                    slot=s, stream=self._stream, receiver=r, transmitter=t,
+                    slot=s, stream=k, receiver=r, transmitter=t,
                     direction=FORWARD if r > t else REVERSE, on_air=on_air[s],
                 ),
                 v,
-                shannon_rate(self._radio, v),
+                shannon_rate(radio, v),
             )
-            for s, t, r, v in zip(slot[mine].tolist(), tx[mine].tolist(), rx[mine].tolist(), sinrs[mine].tolist())
+            for s, k, t, r, v in zip(slot, stream_of, tx, rx, sinrs)
+            if k == self.stream
         )
-
-    def __len__(self):
-        return self._length
-
-    def __getitem__(self, index):
-        return self._built[index]
-
-    def __eq__(self, other):
-        if isinstance(other, (ReceptionEventView, tuple)):
-            return self._built == tuple(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._built)
-
-    def __repr__(self):
-        return "ReceptionEventView(%d events)" % self._length
 
 
 def build_schedules(routes, mode, z, tr_phase="same"):
@@ -303,13 +282,12 @@ def stream_capacity(geometry, routes, radio, mode, z, tr_phase="same"):
             % (stream_of[e], FORWARD if forward[e] else REVERSE, float(sinrs[e]))
         )
 
+    events_of_call = (radio, np.stack((slot, stream_of, tx, rx), dtype=np.int64).tobytes(), sinrs.tobytes())
     reports = {}
     for stream in sorted(routes):
         mine = stream_of == stream
         # log2 is monotone, so the rate of the lowest SINR is the lowest rate
         worst = [sinrs[mine & (forward == way)] for way in (True, False)]
-        if not all(w.size for w in worst):
-            raise ValueError("stream %d schedule produced no events in one direction" % stream)
         f, r = (shannon_rate(radio, float(w.min())) for w in worst)
         capacity = capacity_per_slot(mode, z, f, r)
         if not math.isfinite(capacity):
@@ -321,7 +299,7 @@ def stream_capacity(geometry, routes, radio, mode, z, tr_phase="same"):
             forward_bottleneck_bps=f,
             reverse_bottleneck_bps=r,
             capacity_bps=capacity,
-            events=ReceptionEventView(stream, radio, slot, stream_of, tx, rx, sinrs),
+            _events_of_call=events_of_call,
         )
     return reports
 

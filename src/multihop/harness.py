@@ -4,8 +4,9 @@ Configs are flat ``key = value`` text. A sweep walks (mode, hops, Z), runs the
 analytical capacity engine and the packet engine on each cell, and flags the
 capacity-maximizing Z per group. The two engines are independent by design, so
 every sweep cross-checks them: the packet-level delivery rate must land exactly
-on 1/Z (store-and-forward) or 2/Z (coded relaying), and the capacity column
-must match the formula recomputed from the bottleneck columns.
+on 1/Z (store-and-forward) or 2/Z (coded relaying), its latencies must equal
+the schedules' closed forms, and the capacity column must match the formula
+recomputed from the bottleneck columns.
 
 ``compare_table4`` lines the sweep up against a published reference table of
 optimum periods and capacities for 6-node rows, 2 to 5 hops, one and two
@@ -21,8 +22,11 @@ from multihop.layout import LayoutConfig, build_layout, stream_route
 from multihop.packetsim import (
     measured_delivery_rate,
     measured_latency,
+    nc_latency_forward,
+    nc_latency_reverse,
     run_nc_sim,
     run_tr_sim,
+    tr_latency,
 )
 from multihop.radio import RadioConfig
 from multihop.schedule import FORWARD, MODE_NC, MODE_TR, REVERSE, TR_PHASES
@@ -229,11 +233,16 @@ def run_sweep(spec):
 def check_consistency(rows):
     """Tie the two engines together; any mismatch is a defect."""
     for row in rows:
-        want_rate = Fraction(1, row.z) if row.mode == MODE_TR else Fraction(2, row.z)
-        if row.sim_delivery_rate != want_rate:
+        nodes = row.hops + 1
+        if row.mode == MODE_TR:
+            want = (Fraction(1, row.z), tr_latency(nodes, row.z), tr_latency(nodes, row.z))
+        else:
+            want = (Fraction(2, row.z), nc_latency_forward(nodes), nc_latency_reverse(nodes, row.z))
+        got = (row.sim_delivery_rate, row.sim_latency_fwd, row.sim_latency_rev)
+        if got != want:
             raise EngineMismatchError(
-                "packet sim delivered %s per slot, schedule implies %s (row %r)"
-                % (row.sim_delivery_rate, want_rate, row)
+                "packet sim delivered %s per slot with latencies %d and %d, schedule implies %s, %d and %d (row %r)"
+                % (*got, *want, row)
             )
         want_cap = capacity_per_slot(
             row.mode, row.z, row.forward_bottleneck_bps, row.reverse_bottleneck_bps

@@ -58,11 +58,6 @@ class PacketId:
         return "%s%d" % (prefix, self.seq)
 
 
-def xor(a, b):
-    """Combine two packet labels; XOR of payloads cancels shared components."""
-    return frozenset(a) ^ frozenset(b)
-
-
 def label_name(label):
     """Readable form of a label, components in injection order, e.g. 'A^B'."""
     if not label:

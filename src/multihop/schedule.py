@@ -132,9 +132,7 @@ def tr_schedule(config, stream=1):
     for slot in range(1, config.z + 1):
         txs = frozenset(Transmitter(stream, n, REVERSE) for n in reverse_set(config.nodes, config.z, slot))
         sets.append(TransmitSet(slot=config.z + slot, transmitters=txs))
-    sched = Schedule(config=config, stream=stream, sets=tuple(sets))
-    _check_half_duplex(sched)
-    return sched
+    return Schedule(config=config, stream=stream, sets=tuple(sets))
 
 
 def nc_schedule(config, stream=1):
@@ -147,20 +145,4 @@ def nc_schedule(config, stream=1):
             Transmitter(stream, n, BROADCAST) for n in nc_transmit_set(config.nodes, config.z, slot)
         )
         sets.append(TransmitSet(slot=slot, transmitters=txs))
-    sched = Schedule(config=config, stream=stream, sets=tuple(sets))
-    _check_half_duplex(sched)
-    return sched
-
-
-def _check_half_duplex(sched):
-    # no node may be an addressed receiver while it is itself transmitting
-    nodes = sched.config.nodes
-    for ts in sched.sets:
-        sending = ts.nodes()
-        for t in ts.transmitters:
-            for r in t.receivers(nodes):
-                if r in sending:
-                    raise ValueError(
-                        "slot %d schedules node %d to receive from node %d while transmitting"
-                        % (ts.slot, r, t.node)
-                    )
+    return Schedule(config=config, stream=stream, sets=tuple(sets))

@@ -198,6 +198,19 @@ class TestTrPhase:
         opp = stream_capacity(geo, routes, radio, MODE_TR, 3, tr_phase="opposite")[1]
         assert len(same.events) == len(opp.events)
 
+    @pytest.mark.parametrize(
+        "z, receiver, transmitter, slot", [(2, 2, 1, 1), (3, 4, 3, 3), (4, 2, 1, 1)]
+    )
+    def test_two_routes_on_one_row_clash_only_in_opposite_phase(self, z, receiver, transmitter, slot):
+        """Stream 2 on stream 1's row, a half cycle out of phase, makes a node
+        send while it is addressed; in phase the two copies only interfere."""
+        geo, routes = two_streams(6)
+        same_row = {1: routes[1], 2: routes[1]}
+        want = "slot %d schedules node %d to receive from node %d while transmitting" % (slot, receiver, transmitter)
+        with pytest.raises(ValueError, match="^%s$" % want):
+            stream_capacity(geo, same_row, RadioConfig(), MODE_TR, z, tr_phase="opposite")
+        assert stream_capacity(geo, same_row, RadioConfig(), MODE_TR, z, tr_phase="same")[1].capacity_bps > 0
+
     def test_bad_phase_rejected(self):
         geo, routes = two_streams(5)
         with pytest.raises(ValueError):

@@ -187,6 +187,13 @@ class TestConsistencyCheck:
         with pytest.raises(EngineMismatchError):
             check_consistency(bad)
 
+    def test_latency_off_by_one_is_caught(self):
+        rows = run_sweep(small_spec())
+        bad = [replace(rows[0], sim_latency_rev=rows[0].sim_latency_rev + 1)] + rows[1:]
+        want = "latencies %d and %d, " % (bad[0].sim_latency_fwd, bad[0].sim_latency_rev)
+        with pytest.raises(EngineMismatchError, match=want):
+            check_consistency(bad)
+
     def test_nan_capacity_is_caught(self):
         rows = run_sweep(small_spec())
         nan = float("nan")

@@ -1,7 +1,6 @@
-"""Packet-engine tests: XOR algebra, golden trace, latency and rate oracles."""
+"""Packet-engine tests: packet names, golden trace, latency and rate oracles."""
 
 import hashlib
-import random
 from fractions import Fraction
 
 import pytest
@@ -23,7 +22,6 @@ from multihop.packetsim import (
     run_tr_sim,
     tr_latency,
     trace_to_csv_text,
-    xor,
 )
 from multihop.schedule import (
     BROADCAST,
@@ -49,33 +47,6 @@ F = PacketId(REVERSE, 3, 5)
 
 def lab(*pids):
     return frozenset(pids)
-
-
-class TestXorAlgebra:
-    def test_self_cancels(self):
-        assert xor(lab(A), lab(A)) == lab()
-
-    def test_identity(self):
-        assert xor(lab(), lab(A)) == lab(A)
-
-    def test_strip_one_component(self):
-        assert xor(lab(A, B), lab(B)) == lab(A)
-
-    def test_disjoint_union(self):
-        assert xor(lab(A, B), lab(C, B)) == lab(A, C)
-        assert xor(lab(A, B), lab(C, B)) == xor(lab(C, B), lab(A, B))
-
-    def test_random_labels_commute_associate_cancel(self):
-        rng = random.Random(20240817)
-        pool = [PacketId(d, s, o) for d in (FORWARD, REVERSE) for s in range(1, 9) for o in (1, 7)]
-        for _ in range(300):
-            a = frozenset(rng.sample(pool, rng.randint(0, 6)))
-            b = frozenset(rng.sample(pool, rng.randint(0, 6)))
-            c = frozenset(rng.sample(pool, rng.randint(0, 6)))
-            assert xor(a, b) == xor(b, a)
-            assert xor(xor(a, b), c) == xor(a, xor(b, c))
-            assert xor(a, a) == lab()
-            assert xor(a, lab()) == a
 
 
 class TestPacketNames:
