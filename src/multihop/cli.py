@@ -212,7 +212,8 @@ def build_parser():
     p.add_argument("--mode", required=True, choices=(MODE_TR, MODE_NC))
     p.add_argument("--z", required=True, type=int)
     p.add_argument("--hops", type=int, default=None)
-    p.add_argument("--periods", type=int, default=None)
+    p.add_argument("--periods", type=int, default=None,
+                   help="run exactly this many schedule periods (default: until a steady state is observed)")
     p.add_argument("--trace", action="store_true", help="print the slot-by-slot table")
     p.add_argument("--trace-csv", default=None, help="also write the trace as CSV")
 

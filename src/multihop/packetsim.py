@@ -4,6 +4,10 @@ Sources stay saturated: the low end injects a fresh packet at every one of its
 transmit slots, the high end likewise in the opposite direction. Delivery here
 never depends on SINR; the point is to measure latency and delivery rate of
 the schedules themselves and compare them with the closed-form predictions.
+A run observes its own steady state: warmup ends at the first slot by which
+both directions have delivered, and the run stops once each direction has
+delivered 3 packets injected after warmup and 2 whole periods have passed.
+An explicit ``num_periods`` fixes the length instead.
 
 Inside the engine a label is an int with bit ``PacketId.alphabet_index`` set
 per component: XOR is ``^``, a strip is ``& ~known`` and a lone component has
@@ -12,7 +16,6 @@ per component: XOR is ``^``, a strip is ``& ~known`` and a lone component has
 frozensets on first read, so measuring a trace never builds them.
 """
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
@@ -27,8 +30,6 @@ from multihop.schedule import (
     nc_schedule,
     tr_schedule,
 )
-
-WARMUP_PERIODS = 3  # measurement gate, full schedule periods
 
 
 class SteadyStateError(RuntimeError):
@@ -91,7 +92,7 @@ class SimTrace:
     nodes: int
     z: int
     period: int
-    warmup_slots: int
+    warmup_slots: int  # first slot by which both directions delivered, else the run's length
     injections: dict = field(default_factory=dict)  # PacketId -> first tx slot
     deliveries: list = field(default_factory=list)
     dropped: int = 0  # stored packets overwritten before being relayed
@@ -107,6 +108,10 @@ class SimTrace:
     @cached_property
     def slots(self):
         """One SlotRecord per timeslot, built from the log on first read."""
+        return self._records(1, self.total_slots)
+
+    def _records(self, first, last):
+        """SlotRecords for slots first..last; each log entry stands on its own."""
         packets = {1 << p.alphabet_index: p for p in self.injections}
         sets = self._schedule.sets
         scheduled = [tuple(sorted(ts.nodes())) for ts in sets]
@@ -120,8 +125,8 @@ class SimTrace:
                 mask &= mask - 1
             return frozenset(out)
 
-        records, done = [], 0
-        for t, (sent, touched, delivered, fwd, rev) in enumerate(self._log, 1):
+        records, done = [], self._log[first - 2][2] if first > 1 else 0
+        for t, (sent, touched, delivered, fwd, rev) in enumerate(self._log[first - 1 : last], first):
             xors = [(n, fwd[n] ^ rev[n]) for n in sorted(broadcasters.intersection(touched)) if fwd[n] and rev[n]]
             held = [(n, d, m) for d, row in ((FORWARD, fwd), (REVERSE, rev)) for n, m in enumerate(row) if m]
             records.append(
@@ -151,12 +156,6 @@ def nc_latency_forward(nodes):
 def nc_latency_reverse(nodes, z):
     """Reverse packets wait z-1 slots at each relay after the first hop."""
     return (nodes - 2) * (z - 1) + 1
-
-
-def _auto_periods(nodes, z, period):
-    # enough to fill the pipeline and then observe several steady periods
-    fill = math.ceil((nodes * z + 2) / period)
-    return WARMUP_PERIODS + fill + 8
 
 
 def run_tr_sim(nodes, z, num_periods=None):
@@ -191,13 +190,12 @@ def _simulate(schedule, num_periods):
     endpoint delivers it. Store-and-forward labels never meet a second
     component, so the same rules replay both modes. The schedules are
     half-duplex, so each transmission is received as soon as it is formed.
+    With no ``num_periods`` a run that finds no steady state within its cap
+    raises ``SteadyStateError``.
     """
     config = schedule.config
     nodes, period = config.nodes, schedule.period
-    if num_periods is None:
-        num_periods = _auto_periods(nodes, config.z, period)
-    trace = SimTrace(mode=config.mode, nodes=nodes, z=config.z, period=period,
-                     warmup_slots=WARMUP_PERIODS * period, _schedule=schedule)
+    trace = SimTrace(mode=config.mode, nodes=nodes, z=config.z, period=period, warmup_slots=0, _schedule=schedule)
     serves = {FORWARD: (0,), REVERSE: (1,), BROADCAST: (0, 1)}  # indices into stored
     ends = (1, nodes)
     # each slot of the period: its transmitters in node order as (node, directions
@@ -213,8 +211,14 @@ def _simulate(schedule, num_periods):
     known = [0] * (nodes + 1)
     seq = [0, 0]
     origin = {}  # one-component label -> (PacketId, injection slot)
+    # a moving packet crosses a hop per period, so fill and latency each stay
+    # under nodes * period slots
+    slots = 4 * nodes * period if num_periods is None else num_periods * period
+    # deliveries per direction injected after warmup; warmup stays 0, so every
+    # delivery counts, until both directions have delivered
+    warmup, late = 0, [0, 0]
 
-    for t in range(1, num_periods * period + 1):
+    for t in range(1, slots + 1):
         sent, touched = [], []
         for node, dirs, receivers in plan[(t - 1) % period]:
             if node == 1 or node == nodes:
@@ -245,12 +249,22 @@ def _simulate(schedule, num_periods):
                     if single:
                         pid, injected = origin[residual]
                         trace.deliveries.append(Delivery(packet=pid, node=rx, slot=t, latency=t - injected + 1))
+                        late[d] += injected > warmup
                 else:
                     if stored[d][rx]:
                         trace.dropped += 1
                     stored[d][rx] = residual
                     touched.append(rx)
         trace._log.append((sent, touched, len(trace.deliveries), tuple(stored[0]), tuple(stored[1])))
+        if not warmup:
+            if late[0] and late[1]:
+                warmup, late = t, [0, 0]
+        elif num_periods is None and min(late) >= 3 and t - warmup + 1 >= 2 * period:
+            break
+    else:
+        if num_periods is None:
+            raise SteadyStateError("no steady state within %d slots" % slots)
+    trace.warmup_slots = warmup or slots
     return trace
 
 
@@ -277,18 +291,13 @@ def measured_latency(trace, direction):
 def measured_delivery_rate(trace):
     """Delivered packets per timeslot, both directions combined, as a Fraction.
 
-    Counts over whole schedule periods starting once each direction has begun
-    delivering, so the value is exact.
+    Counts over whole schedule periods from the warmup slot, when both
+    directions have begun delivering, so the value is exact.
     """
-    firsts = {}
-    for d in trace.deliveries:
-        firsts.setdefault(d.packet.direction, d.slot)
-    if FORWARD not in firsts or REVERSE not in firsts:
-        raise SteadyStateError("need deliveries in both directions to measure a rate")
-    start = max(firsts.values())
+    start = trace.warmup_slots
     whole = (trace.total_slots - start + 1) // trace.period
     if whole < 2:
-        raise SteadyStateError("fewer than 2 whole periods after deliveries began")
+        raise SteadyStateError("fewer than 2 whole periods after both directions began delivering")
     end = start + whole * trace.period  # window [start, end)
     count = sum(1 for d in trace.deliveries if start <= d.slot < end)
     return Fraction(count, whole * trace.period)
@@ -314,7 +323,7 @@ def render_trace(trace, first=1, last=None):
         raise ValueError("slots %d..%d outside the trace's 1..%d" % (first, last, trace.total_slots))
     head = "%s nodes=%d z=%d period=%d" % (trace.mode, trace.nodes, trace.z, trace.period)
     rows = [("slot", "transmissions", "xor formed", "deliveries")]
-    for rec in trace.slots[first - 1 : last]:
+    for rec in trace._records(first, last):
         rows.append((str(rec.slot), _tx_cell(rec) or "-", _xor_cell(rec) or "-", _delivery_cell(rec) or "-"))
     widths = [max(len(r[i]) for r in rows) for i in range(4)]
     lines = [head]

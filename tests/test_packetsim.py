@@ -1,6 +1,7 @@
 """Packet-engine tests: packet names, golden trace, latency and rate oracles."""
 
 import hashlib
+import math
 from fractions import Fraction
 
 import pytest
@@ -29,7 +30,9 @@ from multihop.schedule import (
     MODE_NC,
     MODE_TR,
     REVERSE,
+    Schedule,
     ScheduleConfig,
+    TransmitSet,
     nc_schedule,
     tr_schedule,
 )
@@ -47,6 +50,30 @@ F = PacketId(REVERSE, 3, 5)
 
 def lab(*pids):
     return frozenset(pids)
+
+
+def closed_form(mode, nodes, z):
+    """(rate, forward latency, reverse latency, fill slot) the schedule predicts.
+
+    The fill slot is when both directions have first delivered: the high end
+    first injects in slot s_N, Z+1 under TR and (N-1) % Z + 1 under NC.
+    """
+    if mode == MODE_TR:
+        rate, fwd, rev, s_n = Fraction(1, z), tr_latency(nodes, z), tr_latency(nodes, z), z + 1
+    else:
+        rate, fwd, rev, s_n = Fraction(2, z), nc_latency_forward(nodes), nc_latency_reverse(nodes, z), (nodes - 1) % z + 1
+    return rate, fwd, rev, max(fwd, s_n + rev - 1)
+
+
+def fixed_periods(mode, nodes, z):
+    """The fixed run length the pinned traces were taken at: 3 warmup periods,
+    a pipeline-fill estimate and 8 more periods."""
+    period = 2 * z if mode == MODE_TR else z
+    return 3 + math.ceil((nodes * z + 2) / period) + 8
+
+
+def simulate(mode, nodes, z, num_periods=None):
+    return (run_tr_sim if mode == MODE_TR else run_nc_sim)(nodes, z, num_periods=num_periods)
 
 
 class TestPacketNames:
@@ -178,10 +205,12 @@ class TestTraceIntegrity:
 
     @pytest.mark.parametrize("nodes,z", [(4, 2), (5, 3), (5, 4), (6, 3), (7, 2)])
     def test_steady_state_matches_schedule(self, nodes, z):
-        for trace in (run_tr_sim(nodes, z), run_nc_sim(nodes, z)):
+        for mode in (MODE_TR, MODE_NC):
+            trace = simulate(mode, nodes, z)
+            assert trace.warmup_slots == closed_form(mode, nodes, z)[3]
             for rec in trace.slots:
                 assert set(rec.transmissions) <= set(rec.scheduled)
-                if rec.slot > trace.warmup_slots:
+                if rec.slot >= trace.warmup_slots:
                     assert set(rec.transmissions) == set(rec.scheduled)
 
     def test_short_run_refuses_to_measure(self):
@@ -232,29 +261,56 @@ class TestEngineProperties:
     @given(sim_cases())
     def test_rate_latency_drops_and_schedule(self, case):
         mode, nodes, z = case
-        if mode == MODE_TR:
-            trace = run_tr_sim(nodes, z)
-            rate, fwd, rev = Fraction(1, z), tr_latency(nodes, z), tr_latency(nodes, z)
-        else:
-            trace = run_nc_sim(nodes, z)
-            rate, fwd, rev = Fraction(2, z), nc_latency_forward(nodes), nc_latency_reverse(nodes, z)
+        trace = simulate(mode, nodes, z)
+        rate, fwd, rev, filled = closed_form(mode, nodes, z)
         assert measured_delivery_rate(trace) == rate
         assert measured_latency(trace, FORWARD) == fwd
         assert measured_latency(trace, REVERSE) == rev
         assert trace.dropped == 0
-        # every scheduled node sends once both directions have delivered: on
-        # long rows with a short period the pipeline fills after the warmup
-        filled = max(
-            min(d.slot for d in trace.deliveries if d.packet.direction == direction)
-            for direction in (FORWARD, REVERSE)
-        )
+        # warmup is observed, not guessed: it ends when the pipeline fills, and
+        # from then on every scheduled node sends
+        assert trace.warmup_slots == filled
         for rec in trace.slots:
             assert set(rec.transmissions) <= set(rec.scheduled)
-            if rec.slot >= filled:
+            if rec.slot >= trace.warmup_slots:
                 assert set(rec.transmissions) == set(rec.scheduled)
 
 
+TABLE4_SIMS = [(mode, nodes, z) for mode in (MODE_TR, MODE_NC) for nodes in range(3, 7) for z in range(2, 6)]
+STRESS_SIMS = [(mode, nodes, z) for mode in (MODE_TR, MODE_NC) for nodes in (9, 17, 33, 64) for z in range(2, 17)]
+PREFIX_SIMS = [(mode, nodes, z) for mode in (MODE_TR, MODE_NC) for nodes in range(3, 30) for z in range(2, min(nodes, 14) + 1)]
+
+
+class TestRunLength:
+    """A default run stops once its steady state is observed."""
+
+    @pytest.mark.parametrize("cases,slots", [(TABLE4_SIMS, 885), (STRESS_SIMS, 39224)])
+    def test_total_slots_are_pinned(self, cases, slots):
+        assert sum(simulate(*case).total_slots for case in cases) == slots
+
+    @pytest.mark.parametrize("mode,nodes,z", PREFIX_SIMS)
+    def test_default_run_is_a_prefix_of_a_fixed_run(self, mode, nodes, z):
+        short = trace_to_csv_text(simulate(mode, nodes, z)).splitlines()
+        fixed = trace_to_csv_text(simulate(mode, nodes, z, fixed_periods(mode, nodes, z))).splitlines()
+        common = min(len(short), len(fixed))
+        assert short[:common] == fixed[:common]
+
+    def test_no_steady_state_hits_the_cap(self):
+        # the high end never transmits, so nothing travels in reverse
+        schedule = tr_schedule(ScheduleConfig(5, 3, MODE_TR))
+        mute = tuple(
+            TransmitSet(slot=ts.slot, transmitters=frozenset(t for t in ts.transmitters if t.node != 5))
+            for ts in schedule.sets
+        )
+        with pytest.raises(SteadyStateError, match=r"no steady state within \d+ slots"):
+            packetsim._simulate(Schedule(config=schedule.config, stream=1, sets=mute), None)
+
+
 class TestRenderRange:
+    @pytest.fixture(scope="class")
+    def trace(self):
+        return run_nc_sim(5, 4, num_periods=17)
+
     def test_rows_cover_exactly_the_requested_slots(self, trace):
         text = render_trace(trace, first=2, last=3)
         rows = text.splitlines()[3:]
@@ -266,8 +322,13 @@ class TestRenderRange:
         with pytest.raises(ValueError):
             render_trace(trace, first=first, last=last)
 
+    def test_a_range_renders_as_the_full_table_does(self, trace):
+        full = render_trace(trace).splitlines()[3:]
+        part = render_trace(trace, first=30, last=45).splitlines()[3:]
+        assert [row.split() for row in part] == [row.split() for row in full[29:45]]
 
-# sha256 of (trace_to_csv_text, render_trace) for default-length runs, as the
+
+# sha256 of (trace_to_csv_text, render_trace) for runs of fixed_periods, as the
 # frozenset-label engine wrote them; an engine change must reproduce them
 TRACE_DIGESTS = {
     ("TR", 6, 2): (
@@ -375,7 +436,7 @@ def _sha(text):
 
 @pytest.mark.parametrize("mode,nodes,z", sorted(TRACE_DIGESTS))
 def test_trace_text_is_pinned(mode, nodes, z):
-    trace = (run_tr_sim if mode == MODE_TR else run_nc_sim)(nodes, z)
+    trace = simulate(mode, nodes, z, fixed_periods(mode, nodes, z))
     assert (_sha(trace_to_csv_text(trace)), _sha(render_trace(trace))) == TRACE_DIGESTS[mode, nodes, z]
 
 
