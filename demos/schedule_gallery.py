@@ -31,13 +31,13 @@ first = sched.slot(1)
 again = sched.slot(1 + sched.period)
 print("traditional schedule, 5 nodes, Z = 3")
 print("  period %d, slot 1 transmitters: %s"
-      % (sched.period, sorted(t.node for t in first.transmitters)))
+      % (sched.period, sorted(t.node for t in first)))
 print("  slot %d equals slot 1: %s" % (1 + sched.period, first == again))
 
 sched = nc_schedule(ScheduleConfig(nodes=5, z=3, mode="NC"))
 print("coded schedule, 5 nodes, Z = 3")
 print("  period %d, slot 1 transmitters: %s"
-      % (sched.period, sorted(t.node for t in sched.slot(1).transmitters)))
+      % (sched.period, sorted(t.node for t in sched.slot(1))))
 
 # Co-transmitters are always Z apart, which is what keeps the
 # interference geometry identical from period to period.

@@ -32,7 +32,7 @@ is tested against.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -117,9 +117,7 @@ def build_schedules(routes, mode, z, tr_phase="same"):
         if mode == MODE_TR:
             sched = tr_schedule(config, stream=stream)
             if tr_phase == "opposite" and stream == 2:
-                rotated = sched.sets[z:] + sched.sets[:z]
-                sets = tuple(replace(ts, slot=i + 1) for i, ts in enumerate(rotated))
-                sched = Schedule(config=config, stream=stream, sets=sets)
+                sched = Schedule(config=config, stream=stream, sets=sched.sets[z:] + sched.sets[:z])
         else:
             sched = nc_schedule(config, stream=stream)
         schedules[stream] = sched
@@ -139,9 +137,7 @@ def reception_events(schedules, routes):
     for slot in range(1, period + 1):
         transmitters = []
         for stream in sorted(schedules):
-            ts = schedules[stream].slot(slot)
-            for t in sorted(ts.transmitters, key=lambda x: x.node):
-                transmitters.append(t)
+            transmitters.extend(sorted(schedules[stream].slot(slot), key=lambda x: x.node))
         on_air = frozenset((t.stream, t.node) for t in transmitters)
         for t in transmitters:
             nodes = routes[t.stream].num_nodes

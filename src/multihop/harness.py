@@ -220,11 +220,8 @@ def run_sweep(spec):
                         sim_latency_rev=measured_latency(trace, REVERSE),
                     )
                 )
-            best = None
-            for row in sorted(group, key=lambda r: r.z):
-                if best is None or row.capacity_bps > group[best].capacity_bps:
-                    best = group.index(row)
-            group[best] = replace(group[best], optimum_flag=True)
+            best = max(sorted(group, key=lambda r: r.z), key=lambda r: r.capacity_bps)  # lowest Z wins a tie
+            group[group.index(best)] = replace(best, optimum_flag=True)
             rows.extend(group)
     check_consistency(rows)
     return rows

@@ -114,8 +114,8 @@ class SimTrace:
         """SlotRecords for slots first..last; each log entry stands on its own."""
         packets = {1 << p.alphabet_index: p for p in self.injections}
         sets = self._schedule.sets
-        scheduled = [tuple(sorted(ts.nodes())) for ts in sets]
-        broadcasters = {t.node for ts in sets for t in ts.transmitters if t.direction == BROADCAST}
+        scheduled = [tuple(sorted(t.node for t in ts)) for ts in sets]
+        broadcasters = {t.node for ts in sets for t in ts if t.direction == BROADCAST}
 
         @cache
         def label(mask):
@@ -203,7 +203,7 @@ def _simulate(schedule, num_periods):
     plan = [
         [
             (tx.node, serves[tx.direction], tuple((rx, int(rx < tx.node), rx in ends) for rx in tx.receivers(nodes)))
-            for tx in sorted(ts.transmitters, key=lambda x: x.node)
+            for tx in sorted(ts, key=lambda x: x.node)
         ]
         for ts in schedule.sets
     ]
@@ -303,12 +303,9 @@ def measured_delivery_rate(trace):
     return Fraction(count, whole * trace.period)
 
 
-def _tx_cell(rec):
-    return " ".join("%d:%s" % (n, label_name(rec.transmissions[n])) for n in sorted(rec.transmissions))
-
-
-def _xor_cell(rec):
-    return " ".join("%d:%s" % (n, label_name(label)) for n, label in rec.xors)
+def _label_cell(pairs, sep):
+    """(node, label) pairs as 'node:label' entries joined by sep, e.g. '2:A^B'."""
+    return sep.join("%d:%s" % (n, label_name(label)) for n, label in pairs)
 
 
 def _delivery_cell(rec):
@@ -324,7 +321,8 @@ def render_trace(trace, first=1, last=None):
     head = "%s nodes=%d z=%d period=%d" % (trace.mode, trace.nodes, trace.z, trace.period)
     rows = [("slot", "transmissions", "xor formed", "deliveries")]
     for rec in trace._records(first, last):
-        rows.append((str(rec.slot), _tx_cell(rec) or "-", _xor_cell(rec) or "-", _delivery_cell(rec) or "-"))
+        tx, xors = _label_cell(sorted(rec.transmissions.items()), " "), _label_cell(rec.xors, " ")
+        rows.append((str(rec.slot), tx or "-", xors or "-", _delivery_cell(rec) or "-"))
     widths = [max(len(r[i]) for r in rows) for i in range(4)]
     lines = [head]
     for i, r in enumerate(rows):
@@ -343,8 +341,8 @@ def trace_to_csv_text(trace):
             % (
                 rec.slot,
                 ";".join(str(n) for n in rec.scheduled),
-                ";".join("%d:%s" % (n, label_name(rec.transmissions[n])) for n in sorted(rec.transmissions)),
-                ";".join("%d:%s" % (n, label_name(label)) for n, label in rec.xors),
+                _label_cell(sorted(rec.transmissions.items()), ";"),
+                _label_cell(rec.xors, ";"),
                 ";".join("%s@%d:L%d" % (d.packet.name, d.node, d.latency) for d in rec.deliveries),
             )
         )

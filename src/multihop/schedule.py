@@ -3,7 +3,10 @@
 Node indices here are positions along a route (1 = source end). Traditional
 relaying alternates a forward half-cycle and a reverse half-cycle, each Z
 slots long. Coded relaying reuses the forward progression alone, every node
-broadcasting to both neighbours, so its period is Z.
+broadcasting to both neighbours, so its period is Z. Each slot's transmit
+set is one arithmetic progression of nodes Z apart; a ``Schedule`` holds, for
+slot i + 1 of its period, the frozenset of ``Transmitter``s on air as
+``sets[i]``.
 """
 
 from dataclasses import dataclass
@@ -58,26 +61,17 @@ class Transmitter:
 
 
 @dataclass(frozen=True)
-class TransmitSet:
-    slot: int
-    transmitters: frozenset
-
-    def nodes(self):
-        return frozenset(t.node for t in self.transmitters)
-
-
-@dataclass(frozen=True)
 class Schedule:
     config: ScheduleConfig
     stream: int
-    sets: tuple
+    sets: tuple  # frozenset of Transmitters per slot of the period
 
     @property
     def period(self):
         return len(self.sets)
 
     def slot(self, global_slot):
-        """TransmitSet active in a 1-based global slot index."""
+        """Transmitters on air in a 1-based global slot index."""
         return self.sets[(global_slot - 1) % self.period]
 
 
@@ -88,15 +82,13 @@ def forward_set(nodes, z, slot):
     last node never appears because it has nothing to forward.
     """
     _check_slot(nodes, z, slot)
-    top = (nodes - 1 - slot) // z
-    return frozenset(slot + n * z for n in range(0, top + 1))
+    return frozenset(range(slot, nodes, z))
 
 
 def reverse_set(nodes, z, slot):
     """Nodes sending toward the low end in reverse slot 1..z, mirror of forward."""
     _check_slot(nodes, z, slot)
-    top = (nodes - 1 - slot) // z
-    return frozenset(nodes + 1 - slot - n * z for n in range(0, top + 1))
+    return frozenset(range(nodes + 1 - slot, 1, -z))
 
 
 def nc_transmit_set(nodes, z, slot):
@@ -108,30 +100,28 @@ def nc_transmit_set(nodes, z, slot):
     neighbour free to listen.
     """
     _check_slot(nodes, z, slot)
-    top = (nodes - slot) // z
-    return frozenset(slot + n * z for n in range(0, top + 1))
+    return frozenset(range(slot, nodes + 1, z))
 
 
 def _check_slot(nodes, z, slot):
-    if nodes < 3:
-        raise ValueError("need at least 3 nodes, got %r" % (nodes,))
-    if z < 2:
-        raise ValueError("reuse period must be at least 2, got %r" % (z,))
+    ScheduleConfig(nodes, z)  # validates nodes and z
     if not (1 <= slot <= z):
         raise ValueError("slot %r outside period 1..%d" % (slot, z))
+
+
+def _transmit_sets(config, stream, direction, set_form):
+    """List of one frozenset of Transmitters per slot 1..z, their nodes from set_form."""
+    return [
+        frozenset(Transmitter(stream, n, direction) for n in set_form(config.nodes, config.z, slot))
+        for slot in range(1, config.z + 1)
+    ]
 
 
 def tr_schedule(config, stream=1):
     """Store-and-forward schedule: z forward slots then z reverse slots."""
     if config.mode != MODE_TR:
         raise ValueError("config mode is %r, expected %r" % (config.mode, MODE_TR))
-    sets = []
-    for slot in range(1, config.z + 1):
-        txs = frozenset(Transmitter(stream, n, FORWARD) for n in forward_set(config.nodes, config.z, slot))
-        sets.append(TransmitSet(slot=slot, transmitters=txs))
-    for slot in range(1, config.z + 1):
-        txs = frozenset(Transmitter(stream, n, REVERSE) for n in reverse_set(config.nodes, config.z, slot))
-        sets.append(TransmitSet(slot=config.z + slot, transmitters=txs))
+    sets = _transmit_sets(config, stream, FORWARD, forward_set) + _transmit_sets(config, stream, REVERSE, reverse_set)
     return Schedule(config=config, stream=stream, sets=tuple(sets))
 
 
@@ -139,10 +129,4 @@ def nc_schedule(config, stream=1):
     """Coded-relaying schedule: every node broadcasts in its progression slot."""
     if config.mode != MODE_NC:
         raise ValueError("config mode is %r, expected %r" % (config.mode, MODE_NC))
-    sets = []
-    for slot in range(1, config.z + 1):
-        txs = frozenset(
-            Transmitter(stream, n, BROADCAST) for n in nc_transmit_set(config.nodes, config.z, slot)
-        )
-        sets.append(TransmitSet(slot=slot, transmitters=txs))
-    return Schedule(config=config, stream=stream, sets=tuple(sets))
+    return Schedule(config=config, stream=stream, sets=tuple(_transmit_sets(config, stream, BROADCAST, nc_transmit_set)))

@@ -58,9 +58,9 @@ def test_schedules_are_half_duplex(period):
         tr_schedule(ScheduleConfig(nodes=nodes, z=z, mode=MODE_TR)),
         nc_schedule(ScheduleConfig(nodes=nodes, z=z, mode=MODE_NC)),
     ):
-        for ts in sched.sets:
-            sending = ts.nodes()
-            assert not any(r in sending for t in ts.transmitters for r in t.receivers(nodes)), ts.slot
+        for slot, ts in enumerate(sched.sets, 1):
+            sending = {t.node for t in ts}
+            assert not any(r in sending for t in ts for r in t.receivers(nodes)), slot
 
 
 @PROPERTY_SETTINGS

@@ -92,7 +92,7 @@ def test_matrix_pass_matches_the_scalar_reference(scenario, radio):
             on_air = {
                 (t.stream, t.node)
                 for sched in schedules.values()
-                for t in sched.slot(ev.slot).transmitters
+                for t in sched.slot(ev.slot)
             }
             assert ev.on_air == on_air
             assert ev.interferers == on_air - {(ev.stream, ev.transmitter)}

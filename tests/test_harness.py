@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from multihop import harness
 from multihop.capacity import stream_capacity
 from multihop.harness import (
     CSV_COLUMNS,
@@ -157,6 +158,22 @@ class TestRunSweep:
                 flagged = [r for r in group if r.optimum_flag]
                 assert len(flagged) == 1
                 assert flagged[0].capacity_bps == max(r.capacity_bps for r in group)
+
+    def test_lowest_z_wins_a_capacity_tie(self, monkeypatch):
+        def tied(geometry, routes, radio, mode, z, tr_phase):
+            # equal bottlenecks b with capacity_per_slot(mode, z, b, b) == 1.0 at every Z
+            b = z if mode == MODE_TR else z / 2
+            reports = stream_capacity(geometry, routes, radio, mode, z, tr_phase=tr_phase)
+            return {
+                s: replace(rep, forward_bottleneck_bps=b, reverse_bottleneck_bps=b, capacity_bps=1.0)
+                for s, rep in reports.items()
+            }
+
+        monkeypatch.setattr(harness, "stream_capacity", tied)
+        rows = run_sweep(small_spec(z_values=(3, 2)))  # spec order puts the higher Z first
+        assert [(r.mode, r.hops, r.z) for r in rows if r.optimum_flag] == [
+            (m, h, 2) for m in (MODE_TR, MODE_NC) for h in (2, 3)
+        ]
 
     def test_rows_match_direct_capacity_calls(self, rows):
         spec = small_spec()

@@ -32,7 +32,6 @@ from multihop.schedule import (
     REVERSE,
     Schedule,
     ScheduleConfig,
-    TransmitSet,
     nc_schedule,
     tr_schedule,
 )
@@ -298,10 +297,7 @@ class TestRunLength:
     def test_no_steady_state_hits_the_cap(self):
         # the high end never transmits, so nothing travels in reverse
         schedule = tr_schedule(ScheduleConfig(5, 3, MODE_TR))
-        mute = tuple(
-            TransmitSet(slot=ts.slot, transmitters=frozenset(t for t in ts.transmitters if t.node != 5))
-            for ts in schedule.sets
-        )
+        mute = tuple(frozenset(t for t in ts if t.node != 5) for ts in schedule.sets)
         with pytest.raises(SteadyStateError, match=r"no steady state within \d+ slots"):
             packetsim._simulate(Schedule(config=schedule.config, stream=1, sets=mute), None)
 
@@ -473,7 +469,7 @@ class TestSlotRecordProperties:
             trace, schedule = run_tr_sim(nodes, z), tr_schedule(ScheduleConfig(nodes, z, MODE_TR))
         else:
             trace, schedule = run_nc_sim(nodes, z), nc_schedule(ScheduleConfig(nodes, z, MODE_NC))
-        broadcasters = {t.node for ts in schedule.sets for t in ts.transmitters if t.direction == BROADCAST}
+        broadcasters = {t.node for ts in schedule.sets for t in ts if t.direction == BROADCAST}
 
         def valid(label):
             return isinstance(label, frozenset) and label and all(p in trace.injections for p in label)

@@ -9,6 +9,7 @@ from multihop.schedule import (
     MODE_TR,
     REVERSE,
     ScheduleConfig,
+    Transmitter,
     forward_set,
     nc_schedule,
     nc_transmit_set,
@@ -77,6 +78,23 @@ class TestForwardReverseSets:
         with pytest.raises(ValueError):
             nc_transmit_set(2, 2, 1)
 
+    def test_sets_follow_the_per_node_slot_rule(self):
+        """Node i forwards and, coded, broadcasts in slot (i-1) % Z + 1 and sends
+        reverse in slot (N-i) % Z + 1, for N up to 40 and Z up to 3N + 1."""
+        for nodes in range(3, 41):
+            for z in range(2, 3 * nodes + 2):
+                forward, reverse, broadcast = ({s: set() for s in range(1, z + 1)} for _ in range(3))
+                for i in range(1, nodes + 1):
+                    if i < nodes:
+                        forward[(i - 1) % z + 1].add(i)
+                    if i > 1:
+                        reverse[(nodes - i) % z + 1].add(i)
+                    broadcast[(i - 1) % z + 1].add(i)
+                for s in range(1, z + 1):
+                    assert forward_set(nodes, z, s) == forward[s], (nodes, z, s)
+                    assert reverse_set(nodes, z, s) == reverse[s], (nodes, z, s)
+                    assert nc_transmit_set(nodes, z, s) == broadcast[s], (nodes, z, s)
+
 
 class TestNcTransmitSets:
     def test_five_nodes_period_four_includes_far_source_in_slot_one(self):
@@ -112,26 +130,38 @@ class TestSchedules:
     def test_tr_period_is_twice_z(self):
         sched = tr_schedule(ScheduleConfig(nodes=5, z=3, mode=MODE_TR))
         assert sched.period == 6
-        assert [ts.slot for ts in sched.sets] == [1, 2, 3, 4, 5, 6]
 
     def test_tr_halves_carry_directions(self):
         sched = tr_schedule(ScheduleConfig(nodes=5, z=3, mode=MODE_TR))
         for ts in sched.sets[:3]:
-            assert all(t.direction == FORWARD for t in ts.transmitters)
+            assert all(t.direction == FORWARD for t in ts)
         for ts in sched.sets[3:]:
-            assert all(t.direction == REVERSE for t in ts.transmitters)
+            assert all(t.direction == REVERSE for t in ts)
 
     def test_tr_golden_node_sets(self):
         sched = tr_schedule(ScheduleConfig(nodes=5, z=3, mode=MODE_TR))
-        assert [sorted(ts.nodes()) for ts in sched.sets] == [
+        assert [sorted(t.node for t in ts) for ts in sched.sets] == [
             [1, 4], [2], [3], [2, 5], [4], [3],
         ]
 
     def test_nc_period_is_z_and_broadcasts(self):
         sched = nc_schedule(ScheduleConfig(nodes=5, z=4, mode=MODE_NC))
         assert sched.period == 4
-        assert all(t.direction == BROADCAST for ts in sched.sets for t in ts.transmitters)
-        assert sorted(sched.sets[0].nodes()) == [1, 5]
+        assert all(t.direction == BROADCAST for ts in sched.sets for t in ts)
+        assert sorted(t.node for t in sched.sets[0]) == [1, 5]
+
+    @pytest.mark.parametrize("nodes,z", GRID)
+    def test_each_slot_is_the_frozenset_of_its_set_form(self, nodes, z):
+        for stream in (1, 2):
+            tr = tr_schedule(ScheduleConfig(nodes=nodes, z=z, mode=MODE_TR), stream=stream)
+            nc = nc_schedule(ScheduleConfig(nodes=nodes, z=z, mode=MODE_NC), stream=stream)
+            for s in range(1, z + 1):
+                forward = frozenset(Transmitter(stream, n, FORWARD) for n in forward_set(nodes, z, s))
+                reverse = frozenset(Transmitter(stream, n, REVERSE) for n in reverse_set(nodes, z, s))
+                broadcast = frozenset(Transmitter(stream, n, BROADCAST) for n in nc_transmit_set(nodes, z, s))
+                assert tr.sets[s - 1] == forward
+                assert tr.sets[z + s - 1] == reverse
+                assert nc.sets[s - 1] == broadcast
 
     def test_slot_lookup_wraps(self):
         sched = tr_schedule(ScheduleConfig(nodes=5, z=3, mode=MODE_TR))
@@ -145,8 +175,8 @@ class TestSchedules:
         nc = nc_schedule(ScheduleConfig(nodes=nodes, z=z, mode=MODE_NC))
         for sched in (tr, nc):
             for ts in sched.sets:
-                sending = ts.nodes()
-                for t in ts.transmitters:
+                sending = {t.node for t in ts}
+                for t in ts:
                     for r in t.receivers(nodes):
                         assert r not in sending
 
@@ -166,8 +196,8 @@ class TestSchedules:
 
     def test_broadcast_receivers_are_both_neighbours(self):
         sched = nc_schedule(ScheduleConfig(nodes=5, z=4, mode=MODE_NC))
-        by_node = {t.node: t for t in sched.sets[0].transmitters}
+        by_node = {t.node: t for t in sched.sets[0]}
         assert by_node[1].receivers(5) == (2,)
         assert by_node[5].receivers(5) == (4,)
-        mid = next(t for t in sched.sets[2].transmitters if t.node == 3)
+        mid = next(t for t in sched.sets[2] if t.node == 3)
         assert mid.receivers(5) == (2, 4)
