@@ -21,9 +21,9 @@ layout and the radio, so it is built once per layout and radio, together
 with the node pairs closer than the reference distance, and reused
 read-only by every later call with that geometry object and an equal
 radio. Each direction's bottleneck is the Shannon rate of its lowest SINR.
-The report keeps the call's event columns as bytes; its ``events`` is a
-cached property that builds the ``ReceptionEvent`` objects, with their
-per-event rates, on first read.
+A report keeps its call's radio, SINRs and (stream, nodes, TR phase) per
+stream; its ``events`` is a cached property that rebuilds the columns from
+those closed forms and the ``ReceptionEvent``s and rates on first read.
 
 ``build_schedules``, ``reception_events``, ``event_sinr`` and
 ``event_interference`` compute the same events and SINRs from schedule
@@ -76,17 +76,17 @@ class StreamCapacityReport:
     forward_bottleneck_bps: float
     reverse_bottleneck_bps: float
     capacity_bps: float
-    # the call's radio, then the slot, stream, transmitter and receiver
-    # columns and the SINRs of all its events in event order, as bytes: they
-    # compare and hash as values, at the size of the arrays
+    # the call's radio, its (stream, nodes, opposite) per stream, which with
+    # mode and z rebuilds every event, and the SINRs of all its events in
+    # event order as bytes: they compare and hash as values
     _events_of_call: tuple = field(repr=False)
 
     @cached_property
     def events(self):
         """(ReceptionEvent, sinr, rate_bps) triples in ``reception_events`` order,
         built on first read."""
-        radio, columns, sinrs = self._events_of_call
-        slot, stream_of, tx, rx = np.frombuffer(columns, dtype=np.int64).reshape(4, -1).tolist()
+        radio, streams, sinrs = self._events_of_call
+        slot, stream_of, tx, rx = (a.tolist() for a in _event_columns(self.mode, self.z, streams))
         sinrs = np.frombuffer(sinrs).tolist()
         on_air = {}
         for s, pair in zip(slot, zip(stream_of, tx)):
@@ -207,6 +207,18 @@ def _period_events(mode, z, nodes, opposite):
     return slot, tx, rx
 
 
+def _event_columns(mode, z, streams):
+    """Slot, stream, transmitter and receiver route positions of a call's events
+    in ``reception_events`` order, from (stream, nodes, opposite) per stream."""
+    parts = []
+    for stream, nodes, opposite in streams:
+        slot, tx, rx = _period_events(mode, z, nodes, opposite)
+        parts.append((slot, np.full(len(tx), stream), tx, rx))
+    slot, stream_of, tx, rx = (np.concatenate(a) for a in zip(*parts))
+    order = np.lexsort((rx, tx, stream_of, slot))
+    return slot[order], stream_of[order], tx[order], rx[order]
+
+
 @lru_cache(maxsize=1)
 def _received_power(geometry, radio):
     """Read-only P[i, j], power node j delivers to node i, with a zero diagonal,
@@ -235,16 +247,14 @@ def stream_capacity(geometry, routes, radio, mode, z, tr_phase="same"):
         raise ValueError("tr_phase must be one of %r, got %r" % (TR_PHASES, tr_phase))
     if not routes:
         raise ValueError("no routes to schedule")
-    parts = []
-    for stream in sorted(routes):
-        route = routes[stream]
+    streams = []  # tuple(list), not tuple(generator), which moved tracemalloc peaks via tuple free lists
+    at = np.zeros((max(routes) + 1, geometry.config.nodes_per_stream + 1), dtype=np.intp)
+    for stream, route in sorted(routes.items()):
         ScheduleConfig(nodes=route.num_nodes, z=z, mode=mode)  # validates nodes, z and mode
-        slot, tx, rx = _period_events(mode, z, route.num_nodes, tr_phase == "opposite" and stream == 2)
-        at = geometry.route_indices(route)  # route position - 1 -> distance_matrix index
-        parts.append((slot, np.full(len(tx), stream), tx, rx, at[tx - 1], at[rx - 1]))
-    slot, stream_of, tx, rx, tx_at, rx_at = (np.concatenate(a) for a in zip(*parts))
-    order = np.lexsort((rx, tx, stream_of, slot))
-    slot, stream_of, tx, rx, tx_at, rx_at = (a[order] for a in (slot, stream_of, tx, rx, tx_at, rx_at))
+        streams.append((stream, route.num_nodes, mode == MODE_TR and tr_phase == "opposite" and stream == 2))
+        at[stream, 1 : route.num_nodes + 1] = geometry.route_indices(route)  # (stream, position) -> matrix index
+    slot, stream_of, tx, rx = _event_columns(mode, z, streams)
+    tx_at, rx_at = at[stream_of, tx], at[stream_of, rx]
     forward = rx > tx
 
     power, close = _received_power(geometry, radio)
@@ -278,7 +288,7 @@ def stream_capacity(geometry, routes, radio, mode, z, tr_phase="same"):
             % (stream_of[e], FORWARD if forward[e] else REVERSE, float(sinrs[e]))
         )
 
-    events_of_call = (radio, np.stack((slot, stream_of, tx, rx), dtype=np.int64).tobytes(), sinrs.tobytes())
+    events_of_call = (radio, tuple(streams), sinrs.tobytes())
     reports = {}
     for stream in sorted(routes):
         mine = stream_of == stream

@@ -11,9 +11,9 @@ An explicit ``num_periods`` fixes the length instead.
 
 Inside the engine a label is an int with bit ``PacketId.alphabet_index`` set
 per component: XOR is ``^``, a strip is ``& ~known`` and a lone component has
-``r & (r - 1) == 0``. A run keeps one compact log entry per slot;
-``SimTrace.slots`` turns the log into ``SlotRecord``s of ``PacketId``
-frozensets on first read, so measuring a trace never builds them.
+``r & (r - 1) == 0``. A run keeps one compact log entry per slot, so
+measuring a trace builds no ``SlotRecord``: ``SimTrace.slots`` builds them
+on first read, and each record its ``stored`` snapshot only when read.
 """
 
 from dataclasses import dataclass, field
@@ -83,7 +83,13 @@ class SlotRecord:
     transmissions: dict
     xors: tuple  # (node, combined label) formed at the end of this slot
     deliveries: tuple
-    stored: tuple  # (node, direction, label) snapshot after the slot
+    _held: tuple = field(repr=False, compare=False)  # label function, then the log entry's forward and reverse rows
+
+    @cached_property
+    def stored(self):
+        """(node, direction, label) snapshot after the slot, built on first read."""
+        label, fwd, rev = self._held
+        return tuple((n, d, label(m)) for d, row in ((FORWARD, fwd), (REVERSE, rev)) for n, m in enumerate(row) if m)
 
 
 @dataclass
@@ -128,7 +134,6 @@ class SimTrace:
         records, done = [], self._log[first - 2][2] if first > 1 else 0
         for t, (sent, touched, delivered, fwd, rev) in enumerate(self._log[first - 1 : last], first):
             xors = [(n, fwd[n] ^ rev[n]) for n in sorted(broadcasters.intersection(touched)) if fwd[n] and rev[n]]
-            held = [(n, d, m) for d, row in ((FORWARD, fwd), (REVERSE, rev)) for n, m in enumerate(row) if m]
             records.append(
                 SlotRecord(
                     slot=t,
@@ -136,7 +141,7 @@ class SimTrace:
                     transmissions=dict(zip(sent[::2], map(label, sent[1::2]))),
                     xors=tuple((n, label(mask)) for n, mask in xors),
                     deliveries=tuple(self.deliveries[done:delivered]),
-                    stored=tuple((n, d, label(mask)) for n, d, mask in held),
+                    _held=(label, fwd, rev),
                 )
             )
             done = delivered

@@ -10,14 +10,16 @@ because adding or removing interference terms changes the rounding of the
 sums they feed.
 """
 
+import tracemalloc
 import warnings
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multihop.capacity import build_schedules, event_sinr, reception_events, stream_capacity
-from multihop.layout import LayoutConfig, build_layout, stream_route
+from multihop.layout import LayoutConfig, NodeGeometry, build_layout, stream_route
 from multihop.radio import RadioConfig, shannon_rate
 from multihop.schedule import FORWARD, MODE_NC, MODE_TR, REVERSE, ScheduleConfig, nc_schedule, tr_schedule
 from test_capacity_kernel import PROPERTY_SETTINGS, REL, close, radios, scenarios
@@ -98,3 +100,52 @@ def test_reports_of_equal_calls_compare_and_hash_equal():
     assert first == again and hash(first) == hash(again)
     assert first.events == tuple(again.events)
     assert first.events[0] == next(iter(again.events))
+
+
+def rows(nodes, streams):
+    geometry = NodeGeometry(LayoutConfig(nodes_per_stream=nodes, num_streams=streams))  # no size warning
+    return geometry, {s: stream_route(geometry, s, 1, nodes) for s in range(1, streams + 1)}
+
+
+def test_reports_keep_under_8_kb_per_call():
+    """A report keeps its call's SINRs, not its event columns: the columns are
+    rebuilt from (mode, Z, route lengths, TR phase) when ``events`` is read."""
+    geometry, routes = rows(100, 2)
+    radio = RadioConfig()
+    stream_capacity(geometry, routes, radio, MODE_TR, 2)  # builds the received-power matrix
+    calls = [(mode, z) for mode in (MODE_TR, MODE_NC) for z in range(2, 7)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = [stream_capacity(geometry, routes, radio, mode, z) for mode, z in calls]
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(kept) == 10 and held / len(kept) < 8 * 1024, held / len(kept)
+
+
+@pytest.mark.parametrize("mode,streams", [(MODE_NC, 1), (MODE_NC, 2), (MODE_TR, 1)])
+def test_tr_phase_that_moves_no_slot_keeps_reports_equal(mode, streams):
+    geometry, routes = rows(6, streams)
+    same, opposite = (stream_capacity(geometry, routes, RadioConfig(), mode, 3, tr_phase=p) for p in ("same", "opposite"))
+    for stream in routes:
+        assert same[stream] == opposite[stream] and hash(same[stream]) == hash(opposite[stream])
+        assert same[stream].events == opposite[stream].events
+
+
+def test_opposite_phase_gives_a_different_second_stream_report():
+    geometry, routes = rows(6, 2)
+    same, opposite = (stream_capacity(geometry, routes, RadioConfig(), MODE_TR, 3, tr_phase=p) for p in ("same", "opposite"))
+    assert same[2] != opposite[2]
+    assert same[2].events != opposite[2].events
+
+
+@pytest.mark.parametrize("nodes", [6, 100])
+@pytest.mark.parametrize("mode,streams", [(MODE_TR, 1), (MODE_TR, 2), (MODE_NC, 1), (MODE_NC, 2)])
+@pytest.mark.parametrize("tr_phase", ["same", "opposite"])
+def test_rebuilt_events_match_the_schedule_objects(nodes, mode, streams, tr_phase):
+    geometry, routes = rows(nodes, streams)
+    reports = stream_capacity(geometry, routes, RadioConfig(), mode, 4, tr_phase=tr_phase)
+    reference = reception_events(build_schedules(routes, mode, 4, tr_phase=tr_phase), routes)
+    for stream, rep in reports.items():
+        assert [ev for ev, _, _ in rep.events] == [ev for ev in reference if ev.stream == stream]

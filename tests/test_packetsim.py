@@ -436,6 +436,42 @@ def test_trace_text_is_pinned(mode, nodes, z):
     assert (_sha(trace_to_csv_text(trace)), _sha(render_trace(trace))) == TRACE_DIGESTS[mode, nodes, z]
 
 
+# sha256 of repr([rec.stored for rec in trace.slots]) for each TRACE_DIGESTS
+# case, taken while SlotRecord still built its stored snapshot eagerly
+STORED_DIGESTS = {
+    ("NC", 6, 2): "cc6254f5b5e4c6ea343887e045fe874f99b29d2d65a591fc267f769ba187f52c",
+    ("NC", 6, 5): "68133e28c0020e512b21dd8e35c48cd796cd17a97d550877eb6b4ff1267bc993",
+    ("NC", 6, 6): "caadbc822ed47bd2beb99d2f0339d4639bc494bb52800747b9eff9c41360c5dc",
+    ("NC", 17, 2): "9a6c3635e24c362aa7d9b34cc31e359f6e98a2240c8fc0367106d10a53c0e4a1",
+    ("NC", 17, 5): "09ca20ec3bd745afb50a74ac06ad955d7102f2fa9e79d89b40962e1e6aa07b3b",
+    ("NC", 17, 17): "2e31da765629d520d1a7934332ec1f2cf158a8c1c346cd886522eaf41426f0cb",
+    ("NC", 29, 2): "bacddd5c0ac945269eacd0f83c6ef47e5c20e73ef66174e9692739716712fbad",
+    ("NC", 29, 5): "12ca1b647e6c0bf67c076a1cb338bedc304d6aea0c7b2c8767b1ba736da2ffa0",
+    ("NC", 29, 29): "18cafe56742b4df738a4845a760b03d955c3e25593190969bfeb482571c2162a",
+    ("NC", 64, 2): "3f8d69de4eccd5b725b11fa2029e35a6484892982dfb3b96e79097585455028d",
+    ("NC", 64, 5): "bc2009d26525cdccbe717a99618926d4a993b3e86c7ef4d3a3b1d5c2a1144239",
+    ("NC", 64, 64): "9c5bb9ac64918a240e8eba839e3c83dcf1e8178b59cbaaa13e8c196d184fdfee",
+    ("TR", 6, 2): "217c854de217455ccd82eb2f5be3b93e326ae850977b2fdf7fb273b1484cac34",
+    ("TR", 6, 5): "fd69e58b4771fbb4c46c5b1f23d0b675e37c4014f0668edf10abad6aebef561c",
+    ("TR", 6, 6): "fd3b14476d2545ed6efe6b44335417a3f9eb4169a79473315e9d303ef0ddcc34",
+    ("TR", 17, 2): "771c181aa471aef6d6c0607c1c66a20fe5749e1a1f070bbef8725a4956c47bc9",
+    ("TR", 17, 5): "75af01a6f086bdaa5a219ae74914bec4448538220a5cbef33b9530498d870398",
+    ("TR", 17, 17): "d709b140f33c3982ecfb446c02d8d40d1e68a0c850a228ee3f1641c4ed033c50",
+    ("TR", 29, 2): "a5f8df606f41f420b2590f6a1b3e97297fdb4ad1e3085d3309f32e83f8fa1631",
+    ("TR", 29, 5): "bb5e8f9b736e02aa4bc304e176b97d8ea922556f3985ed8b6225de42f2cf5304",
+    ("TR", 29, 29): "3cc63da77da3ca2ce3c3aecfc91a58f16e52b7b17fe08dd5c37e067f9292b9fc",
+    ("TR", 64, 2): "896301ccf72ab5c4d7e4b351b48c1b2ccd2d0da6faf4aa40168848eb3a2a4f12",
+    ("TR", 64, 5): "be701a8f32cf68f806c990ae4d2dbbde8eee506075901e88145850036cc70fbe",
+    ("TR", 64, 64): "1fcda82b559407a5e0da6da76d1a07843f059edbf88f32287ff71c6c242c00d4",
+}
+
+
+@pytest.mark.parametrize("mode,nodes,z", sorted(STORED_DIGESTS))
+def test_stored_snapshots_are_pinned(mode, nodes, z):
+    trace = simulate(mode, nodes, z, fixed_periods(mode, nodes, z))
+    assert _sha(repr([rec.stored for rec in trace.slots])) == STORED_DIGESTS[mode, nodes, z]
+
+
 class TestSlotRecordsOnDemand:
     def test_sweep_builds_no_slot_records(self, monkeypatch):
         def refuse(*args, **kwargs):
