@@ -11,9 +11,10 @@ An explicit ``num_periods`` fixes the length instead.
 
 Inside the engine a label is an int with bit ``PacketId.alphabet_index`` set
 per component: XOR is ``^``, a strip is ``& ~known`` and a lone component has
-``r & (r - 1) == 0``. A run keeps one compact log entry per slot, so
-measuring a trace builds no ``SlotRecord``: ``SimTrace.slots`` builds them
-on first read, and each record its ``stored`` snapshot only when read.
+``r & (r - 1) == 0``. A run keeps packets as bit indices and one compact log
+entry per slot, so measuring a trace builds no ``PacketId``, ``Delivery`` or
+``SlotRecord``: ``SimTrace.injections``, ``deliveries`` and ``slots`` build
+them on first read, and each record its ``stored`` snapshot only when read.
 """
 
 from dataclasses import dataclass, field
@@ -99,9 +100,12 @@ class SimTrace:
     z: int
     period: int
     warmup_slots: int  # first slot by which both directions delivered, else the run's length
-    injections: dict = field(default_factory=dict)  # PacketId -> first tx slot
-    deliveries: list = field(default_factory=list)
     dropped: int = 0  # stored packets overwritten before being relayed
+    # packets as bit indices (PacketId.alphabet_index), which the injections and
+    # deliveries properties turn into objects on first read: index -> first tx
+    # slot, and (index, node, slot, latency) per delivery in delivery order
+    _injected: dict = field(default_factory=dict)
+    _delivered: list = field(default_factory=list)
     _schedule: object = field(default=None, repr=False)
     # per slot: ([node, label, ...] sent, nodes that stored a label, deliveries
     # so far, forward and reverse label held per node), labels as bitmasks
@@ -110,6 +114,21 @@ class SimTrace:
     @property
     def total_slots(self):
         return len(self._log)
+
+    def _packet(self, idx):
+        d = idx & 1
+        return PacketId(direction=(FORWARD, REVERSE)[d], seq=(idx >> 1) + 1, origin=(1, self.nodes)[d])
+
+    @cached_property
+    def injections(self):
+        """{PacketId: first tx slot} in injection order, built on first read."""
+        return {self._packet(idx): t for idx, t in self._injected.items()}
+
+    @cached_property
+    def deliveries(self):
+        """Deliveries in the order they happened, built on first read."""
+        packets = {p.alphabet_index: p for p in self.injections}
+        return [Delivery(packets[idx], node, t, lat) for idx, node, t, lat in self._delivered]
 
     @cached_property
     def slots(self):
@@ -198,6 +217,8 @@ def _simulate(schedule, num_periods):
     With no ``num_periods`` a run that finds no steady state within its cap
     raises ``SteadyStateError``.
     """
+    if num_periods is not None and (type(num_periods) is not int or num_periods < 1):
+        raise ValueError("num_periods must be None or an int >= 1, not %r" % (num_periods,))
     config = schedule.config
     nodes, period = config.nodes, schedule.period
     trace = SimTrace(mode=config.mode, nodes=nodes, z=config.z, period=period, warmup_slots=0, _schedule=schedule)
@@ -214,8 +235,8 @@ def _simulate(schedule, num_periods):
     ]
     stored = ([0] * (nodes + 1), [0] * (nodes + 1))  # forward, reverse label held per node
     known = [0] * (nodes + 1)
-    seq = [0, 0]
-    origin = {}  # one-component label -> (PacketId, injection slot)
+    injected, delivered = trace._injected, trace._delivered
+    fresh = [0, 1]  # next bit index per direction
     # a moving packet crosses a hop per period, so fill and latency each stay
     # under nodes * period slots
     slots = 4 * nodes * period if num_periods is None else num_periods * period
@@ -228,11 +249,9 @@ def _simulate(schedule, num_periods):
         for node, dirs, receivers in plan[(t - 1) % period]:
             if node == 1 or node == nodes:
                 d = 0 if node == 1 else 1
-                seq[d] += 1
-                pid = PacketId(direction=(FORWARD, REVERSE)[d], seq=seq[d], origin=node)
-                trace.injections[pid] = t
-                label = 1 << pid.alphabet_index
-                origin[label] = (pid, t)
+                injected[fresh[d]] = t
+                label = 1 << fresh[d]
+                fresh[d] += 2
                 known[node] |= label
             else:
                 label = held = 0
@@ -252,15 +271,15 @@ def _simulate(schedule, num_periods):
                     known[rx] |= residual
                 if endpoint:
                     if single:
-                        pid, injected = origin[residual]
-                        trace.deliveries.append(Delivery(packet=pid, node=rx, slot=t, latency=t - injected + 1))
-                        late[d] += injected > warmup
+                        idx = residual.bit_length() - 1
+                        delivered.append((idx, rx, t, t - injected[idx] + 1))
+                        late[d] += injected[idx] > warmup
                 else:
                     if stored[d][rx]:
                         trace.dropped += 1
                     stored[d][rx] = residual
                     touched.append(rx)
-        trace._log.append((sent, touched, len(trace.deliveries), tuple(stored[0]), tuple(stored[1])))
+        trace._log.append((sent, touched, len(delivered), tuple(stored[0]), tuple(stored[1])))
         if not warmup:
             if late[0] and late[1]:
                 warmup, late = t, [0, 0]
@@ -279,11 +298,10 @@ def measured_latency(trace, direction):
     Uses deliveries whose packet was injected after the warmup window, needs
     at least three of them, and insists they agree.
     """
-    lats = [
-        d.latency
-        for d in trace.deliveries
-        if d.packet.direction == direction and trace.injections[d.packet] > trace.warmup_slots
-    ]
+    if direction not in (FORWARD, REVERSE):
+        raise ValueError("direction must be %r or %r, not %r" % (FORWARD, REVERSE, direction))
+    d, injected = (FORWARD, REVERSE).index(direction), trace._injected
+    lats = [lat for idx, _, _, lat in trace._delivered if idx & 1 == d and injected[idx] > trace.warmup_slots]
     if len(lats) < 3:
         raise SteadyStateError(
             "only %d %s deliveries past warmup; run more periods" % (len(lats), direction)
@@ -304,7 +322,7 @@ def measured_delivery_rate(trace):
     if whole < 2:
         raise SteadyStateError("fewer than 2 whole periods after both directions began delivering")
     end = start + whole * trace.period  # window [start, end)
-    count = sum(1 for d in trace.deliveries if start <= d.slot < end)
+    count = sum(1 for _, _, t, _ in trace._delivered if start <= t < end)
     return Fraction(count, whole * trace.period)
 
 

@@ -118,7 +118,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: noise floor") and "SINR" not in err
 
-    @pytest.mark.parametrize("periods", ["2", "0"])
+    @pytest.mark.parametrize("periods", ["2", "0", "-3"])
     def test_simulate_with_too_few_periods(self, periods, capsys):
         argv = ["simulate", "--mode", "TR", "--z", "3", "--hops", "3", "--periods", periods]
         assert cli.main(argv) == 1

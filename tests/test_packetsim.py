@@ -12,6 +12,7 @@ from multihop import harness, packetsim
 from multihop.packetsim import (
     Delivery,
     PacketId,
+    SimTrace,
     SteadyStateError,
     label_name,
     measured_delivery_rate,
@@ -222,6 +223,18 @@ class TestTraceIntegrity:
         with pytest.raises(ValueError):
             run_nc_sim(5, 1)
 
+    @pytest.mark.parametrize("run", [run_tr_sim, run_nc_sim])
+    @pytest.mark.parametrize("num_periods", [0, -3, True])
+    def test_bad_num_periods_rejected(self, run, num_periods):
+        # a run of no periods used to measure as Fraction(0) with a negative warmup
+        with pytest.raises(ValueError, match="num_periods"):
+            run(6, 3, num_periods=num_periods)
+
+    def test_bad_direction_rejected(self):
+        # an unchecked direction would read as reverse on the bit-index path
+        with pytest.raises(ValueError, match="sideways"):
+            measured_latency(run_tr_sim(5, 3), "sideways")
+
 
 class TestTraceExport:
     def test_rendered_table_contains_the_story(self):
@@ -286,6 +299,14 @@ class TestRunLength:
     @pytest.mark.parametrize("cases,slots", [(TABLE4_SIMS, 885), (STRESS_SIMS, 39224)])
     def test_total_slots_are_pinned(self, cases, slots):
         assert sum(simulate(*case).total_slots for case in cases) == slots
+
+    def test_table4_run_lengths_are_pinned(self):
+        # perfbench's traced packetsim.slots and .deliveries are four times these
+        traces = [simulate(*case) for case in TABLE4_SIMS]
+        assert len(traces) == 32
+        assert sum(t.total_slots for t in traces) == 885
+        assert sum(len(t.deliveries) for t in traces) == 327
+        assert sum(len(t.injections) for t in traces) == 375
 
     @pytest.mark.parametrize("mode,nodes,z", PREFIX_SIMS)
     def test_default_run_is_a_prefix_of_a_fixed_run(self, mode, nodes, z):
@@ -470,6 +491,144 @@ STORED_DIGESTS = {
 def test_stored_snapshots_are_pinned(mode, nodes, z):
     trace = simulate(mode, nodes, z, fixed_periods(mode, nodes, z))
     assert _sha(repr([rec.stored for rec in trace.slots])) == STORED_DIGESTS[mode, nodes, z]
+
+
+# sha256 of (repr(list(trace.injections.items())), repr(trace.deliveries)) for
+# each TRACE_DIGESTS case, taken while the engine built them eagerly
+PACKET_DIGESTS = {
+    ("NC", 6, 2): (
+        "4f6677fda25acb96f2bf564b10d64706d0cdeb4e85d2cf89d0d5feecaa40fd1f",
+        "fd28208a375549d70e237f6d72aebdb5fff0acf6ded2ab9a75c5ea7ffa4af56b",
+    ),
+    ("NC", 6, 5): (
+        "23cfb1ee72b74e228868d91e0cd87c5959b1c027f806419598f8ff4704de71c4",
+        "7fceab9b0d3b8bb51dfdb8bd488ff59589922474387e09d983e4b63745f4720d",
+    ),
+    ("NC", 6, 6): (
+        "f3c161a21903f4634c34bce2f8753105e4a5155097c1a246ba2bc5509bbfd1cf",
+        "8fb213a55949b58bd86dfd811202e64fa6e9e6cecdaef1eac113f29ed2aa47dc",
+    ),
+    ("NC", 17, 2): (
+        "993ae1911b2185945ec875fd52ea68f62c0ebacb4b341ba3cfe7f1020bcfd999",
+        "76660fc571bc39c6b2455fcd139ad5023454ea21b94cdb2def2fbdabfff121f8",
+    ),
+    ("NC", 17, 5): (
+        "680bb097b693976667b9ef513e4d4a8f952854535d5c5d370295b89f0fb8757d",
+        "f12ada25c4072f2f6dd934c555cf4a32aeedf9827be46174ab67052bfa969c81",
+    ),
+    ("NC", 17, 17): (
+        "2512417baea18c932f5dc6cec859a8c7ec44fd89591fc34b5618ee793d6a3dce",
+        "e3b28a45d8d8c1728adab063aa61177cf004d0562083a072b423a93a21881113",
+    ),
+    ("NC", 29, 2): (
+        "208bf03fae0b174b677b0e39a43e9873313810072500b6e8e4879370332fffc8",
+        "f0765394f6eecf812609fc197f9aeaa9ed461d4428ab3049d22fcc49ed8e2b8e",
+    ),
+    ("NC", 29, 5): (
+        "62eedc758c126c6bee950c3d01359c8b77fda35c561c01c649d2361404b8ecfd",
+        "0ddc8b5ef4b934792cc1ecab24760317b451a94fb0bb578fc4c4fee6b8680d4d",
+    ),
+    ("NC", 29, 29): (
+        "fff17dc152b98637ab5afef382a3a41a16dccc6f4a78d8fc2c4f0d12d0cb6199",
+        "a67fc5278903ea1109123fc6753dab62e90d33b4b096cfb6fc3242e377b9bf30",
+    ),
+    ("NC", 64, 2): (
+        "5869ce2c86803c07c6e3b6b3bdf0bd1c7534c1a3660fa4335407b8186e9c1335",
+        "3689a62ea1cfbb2479a6c24e2c6d8563c18bd94a1d8d8be138d083988c8c5c44",
+    ),
+    ("NC", 64, 5): (
+        "50d3b4450708872e02a66106677179535605fa85bfb5f4a5ff34c318616a9231",
+        "e5952cbc3e20a2cda14c7277bc472fa902a2e361c8c821681edea9ffedc49448",
+    ),
+    ("NC", 64, 64): (
+        "b91722aed265eb320a448ccfca79e6744999f58ba322c8706ae432e1e39f5697",
+        "1abb846c6fbd4a65311525f6b925364541de6f0c73958e902102eb85db05cf4c",
+    ),
+    ("TR", 6, 2): (
+        "79556600e233029e432bd7f30cfff5b5fa455aee3a9ccd19fb914be32afe7eeb",
+        "1169bdb6675c191be289e9c2d9f8df9c6ddf9dce1cd267fbb4188bb3cc01752a",
+    ),
+    ("TR", 6, 5): (
+        "4afcf4f297438b214bf0d8263042c4610ab008eeeee2d0dac0d5ef77835b281b",
+        "5a598039af18a9ff991e4fb0589d8948f51002ebd02dbcc908dfc33d76355d1c",
+    ),
+    ("TR", 6, 6): (
+        "76f879aff0d3e219501d66c16b9b883c5080bb96adfda7fc451e315d6d3b3090",
+        "eb62321847531484bd62ac98c4e51f8dbd72b6aa356b7f9fa93aebdb1a8a7bf5",
+    ),
+    ("TR", 17, 2): (
+        "afec6f6b6c9a39517f09b46b8bce615c1565db0b508fc968f27db6f9c15db0df",
+        "9b9a1437f155ddfd790224bd02b16c0381b0ca249edf72f53a98bfca68a4594a",
+    ),
+    ("TR", 17, 5): (
+        "923e493f932696a539f409c4757e02b332dea4509899f032aad1c54b93de7cdf",
+        "948007a0b8849eb98bc72587d0777dc629bf31587ab01c5fa442cb76ac114e8f",
+    ),
+    ("TR", 17, 17): (
+        "0ba78c552d3fdb89ac98c2092805c8e74d93d296508937c1e74bb2689abc7eb0",
+        "df54f514ec479b02769323827442d1f46d319ca8467118162e20954a2779a24c",
+    ),
+    ("TR", 29, 2): (
+        "b22b11f36c6af391a3e566fd3a858868d25b63db41b92054b7c3bc2b76adcfef",
+        "8dbef8fcb18a275a0a5934e38eb571a220e7302533351b52eea72f81899dde80",
+    ),
+    ("TR", 29, 5): (
+        "1756b86472f8083d79739839ef6b5d81e0ffd1ca1152edd8c9ebeb1742ec5ed5",
+        "259b70ad5c062ed9618f39e5680e40f8d9e1ca071c10846c9f1c897fa143824e",
+    ),
+    ("TR", 29, 29): (
+        "6e801af85484605faf32f6b305e8b2dd4cea9ac274a4a21b3d1fb7a9f4ec85f8",
+        "47df4280cf5a1247e9b0a7bb3bf70168c9e79455e2f300c3cf3f3461bffcade0",
+    ),
+    ("TR", 64, 2): (
+        "45f7893f524b6fb786c82379cadc447514e11a83ff4132828033d963e1f81243",
+        "7bdab419dfdf7a58b435be5e18fb2731619df507481615981f36fb2032f37eea",
+    ),
+    ("TR", 64, 5): (
+        "e142b5804df9e9c34d931974cd8c736f9a84660bb51ac7ca20dc1eb7b83c53df",
+        "b2e3caf3e6828334103ebc7b793c5edcff40b15990d1caa687f0ed0f2d5b2e77",
+    ),
+    ("TR", 64, 64): (
+        "c5a5efff14f2d1be83641c802f99c7ab246260a1b5177e03b1b85930422d552d",
+        "6315adbc6cbecb752abf8ef9128e037907413f5aee3c3dc8255524e5f1eef032",
+    ),
+}
+
+
+@pytest.mark.parametrize("mode,nodes,z", sorted(PACKET_DIGESTS))
+def test_injections_and_deliveries_are_pinned(mode, nodes, z):
+    trace = simulate(mode, nodes, z, fixed_periods(mode, nodes, z))
+    got = (_sha(repr(list(trace.injections.items()))), _sha(repr(trace.deliveries)))
+    assert got == PACKET_DIGESTS[mode, nodes, z]
+
+
+class TestPacketsOnDemand:
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(st.integers(3, 64), st.sampled_from((FORWARD, REVERSE)), st.integers(1, 500))
+    def test_packet_round_trips_through_its_bit_index(self, nodes, direction, seq):
+        pid = PacketId(direction, seq, 1 if direction == FORWARD else nodes)
+        trace = SimTrace(mode=MODE_NC, nodes=nodes, z=2, period=2, warmup_slots=0)
+        assert trace._packet(pid.alphabet_index) == pid
+
+    @pytest.mark.parametrize("run", [run_tr_sim, run_nc_sim])
+    def test_measuring_builds_nothing(self, run):
+        trace = run(6, 3)
+        measured_delivery_rate(trace)
+        measured_latency(trace, FORWARD)
+        measured_latency(trace, REVERSE)
+        assert not {"injections", "deliveries", "slots"} & set(vars(trace))
+        assert trace.deliveries is trace.deliveries
+        assert {"injections", "deliveries"} <= set(vars(trace))
+
+    def test_table4_builds_no_packets_or_deliveries(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a PacketId or Delivery was built")
+
+        monkeypatch.setattr(packetsim, "PacketId", refuse)
+        monkeypatch.setattr(packetsim, "Delivery", refuse)
+        assert len(harness.table4_rows(dict(harness.DEFAULTS))) == 64
+        with pytest.raises(AssertionError):
+            run_nc_sim(4, 2).deliveries
 
 
 class TestSlotRecordsOnDemand:
