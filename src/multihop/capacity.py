@@ -11,14 +11,17 @@ serves each direction in its own half.
 ``stream_capacity`` takes a period's events straight from the schedules'
 closed forms as numpy index arrays of slot, transmitter, receiver and
 direction, with route positions mapped onto layout indices. One (slot x
-node) on-air matrix and one pass over a received-power matrix
-P = Pt * K * (d_ref / D)^eta, built from the layout's distance matrix D, give
-every event's SINR: an event's signal is P[rx, tx], and its interference is
-the sum of P[rx] over the nodes on air in its slot, its own transmitter
-masked out. This is the physical interference model of Gupta and Kumar (The
-Capacity of Wireless Networks, IEEE Trans. IT 2000). P depends only on the
-layout and the radio, so it is built once per layout and radio, together
-with the node pairs closer than the reference distance, and reused
+node) on-air matrix and a received-power matrix P = Pt * K * (d_ref / D)^eta
+give every event's SINR: an event's signal is P[rx, tx], and its
+interference is the sum of P[rx] over the nodes on air in its slot, its own
+transmitter masked out. This is the physical interference model of Gupta
+and Kumar (The Capacity of Wireless Networks, IEEE Trans. IT 2000). The
+interference sums are taken over blocks of events, in event order, each a
+gather of about 128 KB of P's rows, so a call's memory does not grow with
+events x nodes; each event's row and its sum are the same in any block. P is
+built in place in a copy of the layout's distance matrix D. It depends only
+on the layout and the radio, so it is built once per layout and radio,
+together with the node pairs closer than the reference distance, and reused
 read-only by every later call with that geometry object and an equal
 radio. Each direction's bottleneck is the Shannon rate of its lowest SINR.
 A report keeps its call's radio, SINRs and (stream, nodes, TR phase) per
@@ -219,19 +222,25 @@ def _event_columns(mode, z, streams):
     return slot[order], stream_of[order], tx[order], rx[order]
 
 
+_BLOCK_ENTRIES = 16_384  # float64 entries (128 KB) of power rows gathered per block of events
+
+
 @lru_cache(maxsize=1)
 def _received_power(geometry, radio):
     """Read-only P[i, j], power node j delivers to node i, with a zero diagonal,
     and the off-diagonal pairs closer than the reference (None when none are).
 
-    Keyed on the geometry object and the radio's values: a sweep or a scan
-    evaluates one layout and one radio at a time.
+    P is built in place in the layout's distance-matrix copy, one operation of
+    Pt * K * (d_ref / D)^eta at a time. Keyed on the geometry object and the
+    radio's values: a sweep or a scan evaluates one layout and one radio at a time.
     """
-    dist = geometry.distance_matrix
-    np.fill_diagonal(dist, np.inf)  # no node hears itself: zero power on the diagonal
-    close = dist < REFERENCE_DISTANCE_M
+    power = geometry.distance_matrix  # a copy, turned into P in place
+    np.fill_diagonal(power, np.inf)  # no node hears itself: zero power on the diagonal
+    close = power < REFERENCE_DISTANCE_M
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # non-finite SINRs are raised by the caller
-        power = radio.tx_power_w * path_constant(radio) * (REFERENCE_DISTANCE_M / dist) ** radio.path_loss_exponent
+        np.divide(REFERENCE_DISTANCE_M, power, out=power)
+        power **= radio.path_loss_exponent
+        power *= radio.tx_power_w * path_constant(radio)
     power.flags.writeable = close.flags.writeable = False
     return power, close if close.any() else None
 
@@ -266,20 +275,23 @@ def stream_capacity(geometry, routes, radio, mode, z, tr_phase="same"):
         raise ValueError(
             "slot %d schedules node %d to receive from node %d while transmitting" % (slot[e], rx[e], tx[e])
         )
-    listening = on_air[slot]  # (event, node): node on air in the event's slot
-    if close is not None:
-        too_close = close[rx_at] & listening
-        if too_close.any():
-            e, j = np.argwhere(too_close)[0]
-            raise ValueError(
-                "distance %.3f m below the %.1f m reference"
-                % (geometry.distance_matrix[rx_at[e], j], REFERENCE_DISTANCE_M)
-            )
+    heard = np.empty(len(rx_at))  # interference per event, summed one block of events at a time
+    step = max(1, _BLOCK_ENTRIES // len(power))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # non-finite SINRs are raised below
-        heard = power[rx_at]
-        heard *= listening
-        heard[np.arange(len(rx_at)), tx_at] = 0.0  # masked, not subtracted: keeps small interference exact
-        sinrs = power[rx_at, tx_at] / (heard.sum(axis=1) + noise_power(radio))
+        for s in (slice(i, i + step) for i in range(0, len(rx_at), step)):
+            listening = on_air[slot[s]]  # (event, node): node on air in the event's slot
+            if close is not None and (too_close := close[rx_at[s]] & listening).any():
+                e, j = np.argwhere(too_close)[0]
+                raise ValueError(
+                    "distance %.3f m below the %.1f m reference"
+                    % (geometry.distance_matrix[rx_at[s.start + e], j], REFERENCE_DISTANCE_M)
+                )
+            block = power[rx_at[s]]
+            block *= listening
+            block[np.arange(len(block)), tx_at[s]] = 0.0  # masked, not subtracted: keeps small interference exact
+            heard[s] = block.sum(axis=1)
+            del block  # before the next block is gathered
+        sinrs = power[rx_at, tx_at] / (heard + noise_power(radio))
     bad = np.flatnonzero(~np.isfinite(sinrs))
     if bad.size:
         e = bad[0]

@@ -143,6 +143,8 @@ def cmd_simulate(args):
     cfg = _effective_config(args)
     hops = args.hops if args.hops is not None else cfg["nodes_per_stream"] - 1
     nodes = hops + 1
+    if args.periods is not None and args.periods < 1:
+        raise ValueError("--periods must be at least 1, got %d" % args.periods)
     run = run_tr_sim if args.mode == MODE_TR else run_nc_sim
     trace = run(nodes, args.z, num_periods=args.periods)
     print(

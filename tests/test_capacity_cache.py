@@ -6,6 +6,8 @@ reports as a cold call in any order of layouts and radios, and never carry
 one layout's distance check over to another.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,26 @@ def test_cached_arrays_are_read_only_and_the_distances_untouched(power_builds, s
             array[0, 1] = 0
     after = geo.distance_matrix
     assert np.array_equal(after, before) and after.flags.writeable and not after.diagonal().any()
+
+
+@pytest.mark.parametrize("mode", [MODE_TR, MODE_NC])
+def test_a_call_peaks_below_an_events_by_nodes_matrix(power_builds, mode):
+    """Two 100-node rows: 396 events x 200 nodes of float64 would be 634 KB.
+    Interference is summed in blocks of events, so a warm call peaks below
+    400 KB; a cold call also builds the 320 KB power matrix, in place, and
+    peaks below 800 KB."""
+    geo, routes = rows(100)
+    peaks = []
+    for _ in ("cold", "warm"):
+        tracemalloc.start()
+        try:
+            stream_capacity(geo, routes, RADIO_A, mode, 2)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    cold, warm = peaks
+    assert power_builds == [RADIO_A], "the first call is cold and the second reads its matrix"
+    assert cold < 800_000 and warm < 400_000, peaks
 
 
 def scalar_error(geo, routes, radio, mode, z, phase):

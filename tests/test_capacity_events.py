@@ -12,17 +12,19 @@ sums they feed.
 
 import tracemalloc
 import warnings
+from contextlib import nullcontext
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multihop import capacity
 from multihop.capacity import build_schedules, event_sinr, reception_events, stream_capacity
 from multihop.layout import LayoutConfig, NodeGeometry, build_layout, stream_route
 from multihop.radio import RadioConfig, shannon_rate
 from multihop.schedule import FORWARD, MODE_NC, MODE_TR, REVERSE, ScheduleConfig, nc_schedule, tr_schedule
-from test_capacity_kernel import PROPERTY_SETTINGS, REL, close, radios, scenarios
+from test_capacity_kernel import PROPERTY_SETTINGS, REL, close, event_blocks, radios, scenarios
 
 BOTTLENECKS = ("forward_bottleneck_bps", "reverse_bottleneck_bps", "capacity_bps")
 
@@ -149,3 +151,47 @@ def test_rebuilt_events_match_the_schedule_objects(nodes, mode, streams, tr_phas
     reference = reception_events(build_schedules(routes, mode, 4, tr_phase=tr_phase), routes)
     for stream, rep in reports.items():
         assert [ev for ev, _, _ in rep.events] == [ev for ev in reference if ev.stream == stream]
+
+
+BLOCK_EVENTS = [1, 7, None]  # on 396 events: one per block; 56 blocks of 7 and one of 4; the default, 81 per block
+
+
+def blocks_of(events, geometry):
+    return nullcontext() if events is None else event_blocks(events, geometry)
+
+
+@pytest.mark.parametrize("mode", [MODE_TR, MODE_NC])
+@pytest.mark.parametrize("tr_phase", ["same", "opposite"])
+def test_block_size_leaves_reports_bit_identical(mode, tr_phase):
+    """Each event's interference is the same masked row summed the same way
+    in any block, so reports, whose ``==`` compares every SINR's bytes, are
+    equal whatever the block size."""
+    geometry, routes = rows(100, 2)
+    radio = RadioConfig()
+    results = []
+    for events in BLOCK_EVENTS:
+        with blocks_of(events, geometry):
+            results.append([stream_capacity(geometry, routes, radio, mode, z, tr_phase=tr_phase) for z in (2, 5, 16)])
+    one, partial, default = results
+    assert one == partial == default
+
+
+@pytest.mark.parametrize("events", BLOCK_EVENTS)
+def test_close_rows_fail_at_the_first_offender_in_a_later_block(events):
+    """Rows 0.5 m apart, TR, Z = 5, opposite phase: event 160 of 396 is the
+    first whose receiver hears the other row's opposite node on air, which
+    lies past the first block at every block size tried."""
+    geometry = NodeGeometry(LayoutConfig(nodes_per_stream=100, num_streams=2, row_separation_m=0.5))
+    routes = {s: stream_route(geometry, s, 1, 100) for s in (1, 2)}
+    radio = RadioConfig()
+    for first, ev in enumerate(reception_events(build_schedules(routes, MODE_TR, 5, tr_phase="opposite"), routes)):
+        try:
+            event_sinr(ev, geometry, routes, radio)
+        except ValueError as exc:
+            message = str(exc)
+            break
+    assert first == 160 and first >= capacity._BLOCK_ENTRIES // len(geometry.nodes())
+    assert message == "distance 0.500 m below the 1.0 m reference"
+    with blocks_of(events, geometry), pytest.raises(ValueError) as exc:
+        stream_capacity(geometry, routes, radio, MODE_TR, 5, tr_phase="opposite")
+    assert str(exc.value) == message

@@ -8,11 +8,13 @@ rounding of a float64 sum of a few dozen positive terms.
 
 import math
 import warnings
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from multihop import capacity
 from multihop.capacity import build_schedules, event_sinr, reception_events, stream_capacity
 from multihop.layout import LayoutConfig, build_layout, stream_route
 from multihop.radio import RadioConfig, shannon_rate
@@ -75,9 +77,26 @@ def close(got, want):
     return math.isclose(got, want, rel_tol=REL, abs_tol=0.0)
 
 
+def event_blocks(events, geometry):
+    """Make ``stream_capacity`` sum interference ``events`` events at a time
+    on ``geometry``'s nodes."""
+    return mock.patch.object(capacity, "_BLOCK_ENTRIES", events * len(geometry.nodes()))
+
+
 @PROPERTY_SETTINGS
 @given(scenario=scenarios(), radio=radios)
 def test_matrix_pass_matches_the_scalar_reference(scenario, radio):
+    check_matrix_pass(scenario, radio)
+
+
+@PROPERTY_SETTINGS
+@given(scenario=scenarios(), radio=radios)
+def test_matrix_pass_matches_the_scalar_reference_in_3_event_blocks(scenario, radio):
+    with event_blocks(3, scenario[0]):  # every scenario has at least four events
+        check_matrix_pass(scenario, radio)
+
+
+def check_matrix_pass(scenario, radio):
     geometry, routes, mode, z, tr_phase = scenario
     reports = stream_capacity(geometry, routes, radio, mode, z, tr_phase=tr_phase)
     schedules = build_schedules(routes, mode, z, tr_phase=tr_phase)
@@ -109,6 +128,17 @@ def test_sub_reference_hops_still_rejected(scenario, radio):
 @PROPERTY_SETTINGS
 @given(scenario=scenarios(row_separation_m=0.5), radio=radios)
 def test_close_rows_rejected_exactly_when_the_scalar_path_rejects(scenario, radio):
+    check_close_rows(scenario, radio)
+
+
+@PROPERTY_SETTINGS
+@given(scenario=scenarios(row_separation_m=0.5), radio=radios)
+def test_close_rows_rejected_exactly_when_the_scalar_path_rejects_in_3_event_blocks(scenario, radio):
+    with event_blocks(3, scenario[0]):  # every scenario has at least four events
+        check_close_rows(scenario, radio)
+
+
+def check_close_rows(scenario, radio):
     """Rows 0.5 m apart fail only where a receiver hears the other row's
     opposite node on air; the matrix pass must fail on the same scenarios."""
     geometry, routes, mode, z, tr_phase = scenario

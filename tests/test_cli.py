@@ -122,7 +122,10 @@ class TestExitCodes:
     def test_simulate_with_too_few_periods(self, periods, capsys):
         argv = ["simulate", "--mode", "TR", "--z", "3", "--hops", "3", "--periods", periods]
         assert cli.main(argv) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        if int(periods) < 1:
+            assert err == "error: --periods must be at least 1, got %s\n" % periods
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
