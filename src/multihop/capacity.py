@@ -25,13 +25,12 @@ together with the node pairs closer than the reference distance, and reused
 read-only by every later call with that geometry object and an equal
 radio. Each direction's bottleneck is the Shannon rate of its lowest SINR.
 A report keeps its call's radio, SINRs and (stream, nodes, TR phase) per
-stream; its ``events`` is a cached property that rebuilds the columns from
-those closed forms and the ``ReceptionEvent``s and rates on first read.
+stream; its cached ``events`` rebuilds the event rows from those closed forms.
 
-``build_schedules``, ``reception_events``, ``event_sinr`` and
-``event_interference`` compute the same events and SINRs from schedule
-objects with scalar link-budget calls; they are the reference the array path
-is tested against.
+The scalar reference the array path is tested against enumerates rows from
+``build_schedules``' schedule objects in ``reception_events`` and computes each
+SINR with ``event_sinr``'s link-budget calls. It and the ``events`` view feed
+(slot, stream, transmitter, receiver) rows to one ``ReceptionEvent`` assembler.
 """
 
 import math
@@ -89,24 +88,27 @@ class StreamCapacityReport:
         """(ReceptionEvent, sinr, rate_bps) triples in ``reception_events`` order,
         built on first read."""
         radio, streams, sinrs = self._events_of_call
-        slot, stream_of, tx, rx = (a.tolist() for a in _event_columns(self.mode, self.z, streams))
-        sinrs = np.frombuffer(sinrs).tolist()
-        on_air = {}
-        for s, pair in zip(slot, zip(stream_of, tx)):
-            on_air.setdefault(s, set()).add(pair)
-        on_air = {s: frozenset(pairs) for s, pairs in on_air.items()}  # one set per slot
+        rows = list(zip(*(a.tolist() for a in _event_columns(self.mode, self.z, streams))))
         return tuple(
-            (
-                ReceptionEvent(
-                    slot=s, stream=k, receiver=r, transmitter=t,
-                    direction=FORWARD if r > t else REVERSE, on_air=on_air[s],
-                ),
-                v,
-                shannon_rate(radio, v),
-            )
-            for s, k, t, r, v in zip(slot, stream_of, tx, rx, sinrs)
-            if k == self.stream
+            (ev, v, shannon_rate(radio, v))
+            for ev, v in zip(_events_from_rows(rows), np.frombuffer(sinrs).tolist())
+            if ev.stream == self.stream
         )
+
+
+def _events_from_rows(rows):
+    """ReceptionEvents in row order from a list of (slot, stream, transmitter,
+    receiver) rows of route positions; a slot's events share one on-air set."""
+    on_air = {}
+    for s, k, t, _ in rows:
+        on_air.setdefault(s, set()).add((k, t))
+    on_air = {s: frozenset(pairs) for s, pairs in on_air.items()}  # one set per slot
+    return [
+        ReceptionEvent(
+            slot=s, stream=k, receiver=r, transmitter=t, direction=FORWARD if r > t else REVERSE, on_air=on_air[s]
+        )
+        for s, k, t, r in rows
+    ]
 
 
 def build_schedules(routes, mode, z, tr_phase="same"):
@@ -136,27 +138,12 @@ def reception_events(schedules, routes):
     if len(periods) != 1:
         raise ValueError("streams must share one schedule period, got %r" % (sorted(periods),))
     period = periods.pop()
-    events = []
+    rows = []
     for slot in range(1, period + 1):
-        transmitters = []
         for stream in sorted(schedules):
-            transmitters.extend(sorted(schedules[stream].slot(slot), key=lambda x: x.node))
-        on_air = frozenset((t.stream, t.node) for t in transmitters)
-        for t in transmitters:
-            nodes = routes[t.stream].num_nodes
-            for rx in t.receivers(nodes):
-                travel = FORWARD if rx > t.node else REVERSE
-                events.append(
-                    ReceptionEvent(
-                        slot=slot,
-                        stream=t.stream,
-                        receiver=rx,
-                        transmitter=t.node,
-                        direction=travel,
-                        on_air=on_air,
-                    )
-                )
-    return events
+            for t in sorted(schedules[stream].slot(slot), key=lambda x: x.node):
+                rows.extend((slot, t.stream, t.node, rx) for rx in t.receivers(routes[t.stream].num_nodes))
+    return _events_from_rows(rows)
 
 
 def _layout_pair(routes, stream, position):

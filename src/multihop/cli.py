@@ -11,6 +11,7 @@ analytical and packet engines disagree with each other.
 
 import argparse
 import sys
+import warnings
 from dataclasses import fields, replace
 
 from multihop.capacity import stream_capacity
@@ -93,6 +94,16 @@ def _effective_config(args):
     return cfg
 
 
+def _hops(args, cfg):
+    """--hops, by default one fewer than a row's nodes; a ``capacity`` route must fit in the rows."""
+    rows, hops = cfg["nodes_per_stream"], args.hops
+    if hops is not None and args.command == "capacity" and not 2 <= hops < rows:
+        raise ValueError("--hops must be between 2 and %d for %d-node rows, got %d" % (rows - 1, rows, hops))
+    if hops is not None and hops < 2:
+        raise ValueError("--hops must be at least 2, got %d" % hops)
+    return rows - 1 if hops is None else hops
+
+
 def cmd_layout(args):
     cfg = _effective_config(args)
     geometry = build_layout(layout_from_config(cfg))
@@ -116,7 +127,7 @@ def cmd_layout(args):
 def cmd_capacity(args):
     cfg = _effective_config(args)
     geometry = build_layout(layout_from_config(cfg))
-    hops = args.hops if args.hops is not None else geometry.config.nodes_per_stream - 1
+    hops = _hops(args, cfg)
     routes = stream_routes(geometry, hops + 1)
     radio = radio_from_config(cfg)
     reports = stream_capacity(geometry, routes, radio, args.mode, args.z, tr_phase=cfg["tr_phase"])
@@ -141,8 +152,7 @@ def cmd_capacity(args):
 
 def cmd_simulate(args):
     cfg = _effective_config(args)
-    hops = args.hops if args.hops is not None else cfg["nodes_per_stream"] - 1
-    nodes = hops + 1
+    nodes = _hops(args, cfg) + 1
     if args.periods is not None and args.periods < 1:
         raise ValueError("--periods must be at least 1, got %d" % args.periods)
     run = run_tr_sim if args.mode == MODE_TR else run_nc_sim
@@ -230,15 +240,17 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-        return args.func(args)
-    except EngineMismatchError as exc:
-        print("engine mismatch: %s" % exc, file=sys.stderr)
-        return 2
-    except (ConfigError, ValueError, OSError, SteadyStateError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():  # a warning is one "warning: ..." line, not a source location
+        warnings.showwarning = lambda message, *_: print("warning: %s" % message, file=sys.stderr)
+        try:
+            args = parser.parse_args(argv)
+            return args.func(args)
+        except EngineMismatchError as exc:
+            print("engine mismatch: %s" % exc, file=sys.stderr)
+            return 2
+        except (ConfigError, ValueError, OSError, SteadyStateError) as exc:
+            print("error: %s" % exc, file=sys.stderr)
+            return 1
 
 
 def console_main():

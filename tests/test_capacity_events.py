@@ -126,6 +126,23 @@ def test_reports_keep_under_8_kb_per_call():
     assert len(kept) == 10 and held / len(kept) < 8 * 1024, held / len(kept)
 
 
+def test_reading_events_does_not_grow_with_z():
+    """TR at Z = 10,000 on the default two 5-node rows has 16 events in a
+    period of 20,000 slots. The view builds them from the closed forms, about
+    0.1 MB at peak with the call; walking the period's schedule objects would
+    take about 9 MB."""
+    geometry = build_layout(LayoutConfig())
+    routes = {s: stream_route(geometry, s, 1, 5) for s in (1, 2)}
+    tracemalloc.start()
+    try:
+        reports = stream_capacity(geometry, routes, RadioConfig(), MODE_TR, 10_000)
+        events = [ev for rep in reports.values() for ev in rep.events]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(events) == 16 and peak < 1_000_000, peak
+
+
 @pytest.mark.parametrize("mode,streams", [(MODE_NC, 1), (MODE_NC, 2), (MODE_TR, 1)])
 def test_tr_phase_that_moves_no_slot_keeps_reports_equal(mode, streams):
     geometry, routes = rows(6, streams)

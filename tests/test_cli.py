@@ -86,7 +86,27 @@ class TestExitCodes:
         assert cli.main(["capacity", "--mode", "QQ", "--z", "3"]) == 1
 
     def test_hops_beyond_layout(self, capsys):
-        assert cli.main(["capacity", "--mode", "TR", "--z", "3", "--hops", "9"]) == 1
+        for hops in ("9", "5", "1", "0", "-1"):
+            assert cli.main(["capacity", "--mode", "TR", "--z", "3", "--hops", hops]) == 1
+            assert capsys.readouterr().err == "error: --hops must be between 2 and 4 for 5-node rows, got %s\n" % hops
+
+    @pytest.mark.parametrize("hops", ["1", "0", "-1"])
+    def test_simulate_with_too_few_hops(self, hops, capsys):
+        assert cli.main(["simulate", "--mode", "NC", "--z", "3", "--hops", hops]) == 1
+        assert capsys.readouterr().err == "error: --hops must be at least 2, got %s\n" % hops
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["capacity", "--mode", "TR", "--z", "3", "--streams", "1"],
+            ["sweep", "--streams", "1", "--hop-counts", "2", "--z-values", "2"],
+        ],
+    )
+    def test_layout_size_warning_is_one_line(self, argv, capsys):
+        assert cli.main(argv + ["--nodes-per-stream", "8"]) == 0
+        assert capsys.readouterr().err == (
+            "warning: layout has 8 nodes per stream, outside the validated range (max 6)\n"
+        )
 
     def test_invalid_z(self, capsys):
         assert cli.main(["simulate", "--mode", "TR", "--z", "1", "--hops", "3"]) == 1
