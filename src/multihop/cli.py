@@ -97,6 +97,7 @@ def _effective_config(args):
 def _hops(args, cfg):
     """--hops, by default one fewer than a row's nodes; a ``capacity`` route must fit in the rows."""
     rows, hops = cfg["nodes_per_stream"], args.hops
+    LayoutConfig(nodes_per_stream=rows)  # rejects rows below 3 for simulate too, which builds no layout
     if hops is not None and args.command == "capacity" and not 2 <= hops < rows:
         raise ValueError("--hops must be between 2 and %d for %d-node rows, got %d" % (rows - 1, rows, hops))
     if hops is not None and hops < 2:
@@ -126,8 +127,9 @@ def cmd_layout(args):
 
 def cmd_capacity(args):
     cfg = _effective_config(args)
-    geometry = build_layout(layout_from_config(cfg))
-    hops = _hops(args, cfg)
+    layout = layout_from_config(cfg)
+    hops = _hops(args, cfg)  # before build_layout, so a rejected call prints no size warning
+    geometry = build_layout(layout)
     routes = stream_routes(geometry, hops + 1)
     radio = radio_from_config(cfg)
     reports = stream_capacity(geometry, routes, radio, args.mode, args.z, tr_phase=cfg["tr_phase"])

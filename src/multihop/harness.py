@@ -333,9 +333,6 @@ CELL_NOTES = {
     (2, "TR", 2): "reference calls this cell an exception without a value; unverifiable",
 }
 
-TABLE4_HOPS = (2, 3, 4, 5)
-
-
 @dataclass(frozen=True)
 class Table4Cell:
     streams: int
@@ -374,74 +371,50 @@ class Table4Comparison:
     def group_z_matches(self):
         """Per (mode, hops) group: True when both stream columns match."""
         out = {}
-        for mode in (MODE_TR, MODE_NC):
-            for hops in TABLE4_HOPS:
-                both = [c for c in self.cells if c.mode == mode and c.hops == hops]
-                out[(mode, hops)] = bool(both) and all(c.z_match for c in both)
+        for c in self.cells:
+            out[(c.mode, c.hops)] = out.get((c.mode, c.hops), True) and c.z_match
         return out
 
     def capacity_within(self, pct):
         return sum(1 for c in self.cells if abs(c.delta_pct) <= pct), len(self.cells)
 
 
-def _index_rows(rows):
-    return {(row.streams, row.mode, row.hops, row.z): row for row in rows}
-
-
-def _computed_optimum(rows, streams, mode, hops):
-    flagged = [r for r in rows if (r.streams, r.mode, r.hops) == (streams, mode, hops) and r.optimum_flag]
-    if len(flagged) != 1:
-        raise ValueError("expected one optimum row for %s" % ((streams, mode, hops),))
-    return flagged[0]
-
-
 def compare_table4(rows):
-    """Compare sweep rows against the published reference, cell by cell."""
-    by_key = _index_rows(rows)
+    """Compare sweep rows against the published reference, cell by cell.
+
+    One pass over the rows finds each reference key's row at the published Z
+    and its group's one flagged optimum row. Raises ValueError, per key in
+    reference order, for "sweep is missing row (s, m, h, z)", then for
+    "expected one optimum row for (s, m, h)".
+    """
+    at_pub, best = {}, {}
+    for row in rows:
+        key = (row.streams, row.mode, row.hops)
+        if row.z == PUBLISHED_OPTIMUM_Z.get(key):
+            at_pub[key] = row
+        if row.optimum_flag:
+            best[key] = None if key in best else row  # None: flagged twice
     cells = []
-    improvements = []
-    for streams in (1, 2):
-        for mode in (MODE_TR, MODE_NC):
-            for hops in TABLE4_HOPS:
-                pub_z = PUBLISHED_OPTIMUM_Z[(streams, mode, hops)]
-                pub_c = PUBLISHED_CAPACITY_MBPS[(streams, mode, hops)]
-                key = (streams, mode, hops, pub_z)
-                if key not in by_key:
-                    raise ValueError("sweep is missing row %s" % (key,))
-                computed = by_key[key].capacity_bps / 1e6
-                best = _computed_optimum(rows, streams, mode, hops)
-                cells.append(
-                    Table4Cell(
-                        streams=streams,
-                        mode=mode,
-                        hops=hops,
-                        published_z=pub_z,
-                        computed_z=best.z,
-                        published_mbps=pub_c,
-                        computed_mbps=computed,
-                        delta_pct=100.0 * (computed - pub_c) / pub_c,
-                        note=CELL_NOTES.get((streams, mode, hops), ""),
-                    )
-                )
-        for hops in TABLE4_HOPS:
-            tr_pub = by_key[(streams, MODE_TR, hops, PUBLISHED_OPTIMUM_Z[(streams, MODE_TR, hops)])]
-            nc_pub = by_key[(streams, MODE_NC, hops, PUBLISHED_OPTIMUM_Z[(streams, MODE_NC, hops)])]
-            tr_best = _computed_optimum(rows, streams, MODE_TR, hops)
-            nc_best = _computed_optimum(rows, streams, MODE_NC, hops)
-            improvements.append(
-                ImprovementCell(
-                    streams=streams,
-                    hops=hops,
-                    published_pct=PUBLISHED_IMPROVEMENT_PCT[(streams, hops)],
-                    at_published_z_pct=100.0
-                    * (nc_pub.capacity_bps - tr_pub.capacity_bps)
-                    / tr_pub.capacity_bps,
-                    at_computed_z_pct=100.0
-                    * (nc_best.capacity_bps - tr_best.capacity_bps)
-                    / tr_best.capacity_bps,
-                )
-            )
-    return Table4Comparison(cells=tuple(cells), improvements=tuple(improvements))
+    for key, pub_z in PUBLISHED_OPTIMUM_Z.items():
+        if key not in at_pub:
+            raise ValueError("sweep is missing row %s" % ((*key, pub_z),))
+        if best.get(key) is None:
+            raise ValueError("expected one optimum row for %s" % (key,))
+        pub_c, computed = PUBLISHED_CAPACITY_MBPS[key], at_pub[key].capacity_bps / 1e6
+        cells.append(Table4Cell(
+            *key, published_z=pub_z, computed_z=best[key].z, published_mbps=pub_c, computed_mbps=computed,
+            delta_pct=100.0 * (computed - pub_c) / pub_c, note=CELL_NOTES.get(key, ""),
+        ))
+
+    def gain(pick, streams, hops):
+        tr, nc = pick[(streams, MODE_TR, hops)].capacity_bps, pick[(streams, MODE_NC, hops)].capacity_bps
+        return 100.0 * (nc - tr) / tr
+
+    improvements = tuple(
+        ImprovementCell(streams, hops, pct, gain(at_pub, streams, hops), gain(best, streams, hops))
+        for (streams, hops), pct in PUBLISHED_IMPROVEMENT_PCT.items()
+    )
+    return Table4Comparison(cells=tuple(cells), improvements=improvements)
 
 
 def render_table4(comparison):
@@ -489,7 +462,7 @@ def render_table4(comparison):
 # table4 verb offers no flag for them; num_streams lists the table's columns.
 TABLE4_GRID = {
     "nodes_per_stream": 6, "num_streams": (1, 2), "modes": (MODE_TR, MODE_NC),
-    "z_values": (2, 3, 4, 5), "hop_counts": TABLE4_HOPS,
+    "z_values": (2, 3, 4, 5), "hop_counts": (2, 3, 4, 5),
 }
 
 

@@ -108,6 +108,20 @@ class TestExitCodes:
             "warning: layout has 8 nodes per stream, outside the validated range (max 6)\n"
         )
 
+    @pytest.mark.parametrize("hops", [[], ["--hops", "3"]], ids=["default-hops", "hops-3"])
+    def test_simulate_rejects_rows_below_three_nodes(self, hops, capsys):
+        assert cli.main(["simulate", "--mode", "TR", "--z", "3", "--nodes-per-stream", "2"] + hops) == 1
+        assert capsys.readouterr().err == "error: nodes_per_stream must be at least 3, got 2\n"
+
+    def test_capacity_rejects_hops_before_the_size_warning(self, capsys):
+        argv = ["capacity", "--mode", "TR", "--z", "3", "--nodes-per-stream", "8", "--hops"]
+        assert cli.main(argv + ["9"]) == 1
+        assert capsys.readouterr().err == "error: --hops must be between 2 and 7 for 8-node rows, got 9\n"
+        assert cli.main(argv + ["7"]) == 0
+        assert capsys.readouterr().err == (
+            "warning: layout has 8 nodes per stream, outside the validated range (max 6)\n"
+        )
+
     def test_invalid_z(self, capsys):
         assert cli.main(["simulate", "--mode", "TR", "--z", "1", "--hops", "3"]) == 1
 

@@ -1,6 +1,8 @@
 """Config parsing, sweeps, CSV round-trips, and the reference comparison."""
 
+import hashlib
 import math
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -32,6 +34,7 @@ from multihop.harness import (
     write_csv,
 )
 from multihop.layout import build_layout, stream_route
+from multihop.radio import RadioConfig
 from multihop.schedule import MODE_NC, MODE_TR
 
 
@@ -308,5 +311,41 @@ class TestReferenceComparison:
 
     def test_missing_rows_rejected(self):
         partial = [r for r in table4_rows() if r.streams == 1]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("sweep is missing row (2, 'TR', 2, 3)")):
             compare_table4(partial)
+
+    def test_second_optimum_row_rejected(self):
+        rows = table4_rows()
+        i = next(
+            i for i, r in enumerate(rows)
+            if (r.streams, r.mode, r.hops) == (1, MODE_TR, 2) and not r.optimum_flag
+        )
+        rows[i] = replace(rows[i], optimum_flag=True)
+        with pytest.raises(ValueError, match=re.escape("expected one optimum row for (1, 'TR', 2)")):
+            compare_table4(rows)
+
+
+# sha256 of repr(comparison) and repr(comparison.group_z_matches()) for the
+# stock radio and the table4 --alt radio, taken before compare_table4 went to
+# one pass over the rows
+COMPARISON_DIGESTS = {
+    None: (
+        "ef090bb73aff5d5a716233bf5cf3db85831d025db2d8102a0ebfb9bca9c3e9be",
+        "436b3f2d2ba2e5ad0bec0d88d39435291f34dba60f455a87171c0276a0278aee",
+    ),
+    RadioConfig(tx_gain=2.0, rx_gain=2.0, noise_figure_db=3.0): (
+        "5881538341dcbdd5ec3d849e9e31656fd99d89b2a245649d844ecf2ec90b79dc",
+        "65ccc3693b474dc350c730ce2196a879b8a26e8f089b3e182a3c09a9082c115a",
+    ),
+}
+
+
+@pytest.mark.parametrize("radio", list(COMPARISON_DIGESTS), ids=["stock", "alt"])
+def test_comparison_is_pinned(radio):
+    """Every cell, improvement and float of the comparison, in order, stays bit-identical."""
+    comparison = compare_table4(table4_rows(radio=radio))
+    digests = tuple(
+        hashlib.sha256(repr(value).encode()).hexdigest()
+        for value in (comparison, comparison.group_z_matches())
+    )
+    assert digests == COMPARISON_DIGESTS[radio]
