@@ -24,20 +24,20 @@ def show(nodes, z):
 show(5, 3)
 show(6, 2)
 
-# The Schedule objects wrap the same sets with direction tags and
-# repeat forever: slot period+1 is slot 1 again.
+# A Schedule holds each slot as its direction and the same set of
+# nodes on air, and repeats forever: slot period+1 is slot 1 again.
 sched = tr_schedule(ScheduleConfig(nodes=5, z=3))
 first = sched.slot(1)
 again = sched.slot(1 + sched.period)
 print("traditional schedule, 5 nodes, Z = 3")
 print("  period %d, slot 1 transmitters: %s"
-      % (sched.period, sorted(t.node for t in first)))
+      % (sched.period, sorted(first[1])))
 print("  slot %d equals slot 1: %s" % (1 + sched.period, first == again))
 
 sched = nc_schedule(ScheduleConfig(nodes=5, z=3, mode="NC"))
 print("coded schedule, 5 nodes, Z = 3")
 print("  period %d, slot 1 transmitters: %s"
-      % (sched.period, sorted(t.node for t in sched.slot(1))))
+      % (sched.period, sorted(sched.slot(1)[1])))
 
 # Co-transmitters are always Z apart, which is what keeps the
 # interference geometry identical from period to period.

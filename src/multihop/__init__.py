@@ -10,7 +10,6 @@ from multihop.radio import RadioConfig, path_constant, received_power, noise_pow
 from multihop.schedule import (
     ScheduleConfig,
     Schedule,
-    Transmitter,
     forward_set,
     reverse_set,
     nc_transmit_set,

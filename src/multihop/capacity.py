@@ -28,7 +28,8 @@ A report keeps its call's radio, SINRs and (stream, nodes, TR phase) per
 stream; its cached ``events`` rebuilds the event rows from those closed forms.
 
 The scalar reference the array path is tested against enumerates rows from
-``build_schedules``' schedule objects in ``reception_events`` and computes each
+the (direction, positions on air) slots of ``build_schedules``' schedules in
+``reception_events``, each position addressing ``receivers``, and computes each
 SINR with ``event_sinr``'s link-budget calls. It and the ``events`` view feed
 (slot, stream, transmitter, receiver) rows to one ``ReceptionEvent`` assembler.
 """
@@ -49,6 +50,7 @@ from multihop.schedule import (
     ScheduleConfig,
     Schedule,
     nc_schedule,
+    receivers,
     tr_schedule,
 )
 
@@ -120,11 +122,11 @@ def build_schedules(routes, mode, z, tr_phase="same"):
         route = routes[stream]
         config = ScheduleConfig(nodes=route.num_nodes, z=z, mode=mode)
         if mode == MODE_TR:
-            sched = tr_schedule(config, stream=stream)
+            sched = tr_schedule(config)
             if tr_phase == "opposite" and stream == 2:
-                sched = Schedule(config=config, stream=stream, sets=sched.sets[z:] + sched.sets[:z])
+                sched = Schedule(config=config, sets=sched.sets[z:] + sched.sets[:z])
         else:
-            sched = nc_schedule(config, stream=stream)
+            sched = nc_schedule(config)
         schedules[stream] = sched
     return schedules
 
@@ -141,8 +143,9 @@ def reception_events(schedules, routes):
     rows = []
     for slot in range(1, period + 1):
         for stream in sorted(schedules):
-            for t in sorted(schedules[stream].slot(slot), key=lambda x: x.node):
-                rows.extend((slot, t.stream, t.node, rx) for rx in t.receivers(routes[t.stream].num_nodes))
+            direction, on_air = schedules[stream].slot(slot)
+            nodes = routes[stream].num_nodes
+            rows.extend((slot, stream, t, rx) for t in sorted(on_air) for rx in receivers(direction, t, nodes))
     return _events_from_rows(rows)
 
 

@@ -68,10 +68,7 @@ def parse_value(key, text):
     """Parse one config value, a comma-separated list where the default is a tuple."""
     default = DEFAULTS[key]
     if isinstance(default, tuple):
-        parts = [p for p in (s.strip() for s in text.split(",")) if p]
-        if not parts:
-            raise ConfigError("empty list for %r" % key)
-        return tuple(_parse_scalar(key, p, default[0]) for p in parts)
+        return tuple(_parse_scalar(key, p, default[0]) for p in text.split(","))
     value = _parse_scalar(key, text, default)
     if key == "tr_phase" and value not in TR_PHASES:
         raise ConfigError("tr_phase must be one of %r, got %r" % (TR_PHASES, value))

@@ -30,6 +30,12 @@ class LayoutConfig:
             raise ValueError("hop_length_m must be positive")
         if self.num_streams == 2 and self.row_separation_m <= 0:
             raise ValueError("row_separation_m must be positive for two streams")
+        span = ((self.nodes_per_stream - 1) * self.hop_length_m, (self.num_streams - 1) * self.row_separation_m)
+        if not math.isfinite(math.hypot(*span)):  # the largest node distance
+            raise ValueError(
+                "hop_length_m %r and row_separation_m %r put the farthest nodes beyond float range"
+                % (self.hop_length_m, self.row_separation_m)
+            )
 
 
 class NodeGeometry:

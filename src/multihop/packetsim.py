@@ -29,6 +29,7 @@ from multihop.schedule import (
     REVERSE,
     ScheduleConfig,
     nc_schedule,
+    receivers,
     tr_schedule,
 )
 
@@ -139,8 +140,8 @@ class SimTrace:
         """SlotRecords for slots first..last; each log entry stands on its own."""
         packets = {1 << p.alphabet_index: p for p in self.injections}
         sets = self._schedule.sets
-        scheduled = [tuple(sorted(t.node for t in ts)) for ts in sets]
-        broadcasters = {t.node for ts in sets for t in ts if t.direction == BROADCAST}
+        scheduled = [tuple(sorted(on_air)) for _, on_air in sets]
+        broadcasters = {n for direction, on_air in sets if direction == BROADCAST for n in on_air}
 
         @cache
         def label(mask):
@@ -228,10 +229,10 @@ def _simulate(schedule, num_periods):
     # served, ((receiver, direction of travel, receiver is an endpoint), ...))
     plan = [
         [
-            (tx.node, serves[tx.direction], tuple((rx, int(rx < tx.node), rx in ends) for rx in tx.receivers(nodes)))
-            for tx in sorted(ts, key=lambda x: x.node)
+            (tx, serves[direction], tuple((rx, int(rx < tx), rx in ends) for rx in receivers(direction, tx, nodes)))
+            for tx in sorted(on_air)
         ]
-        for ts in schedule.sets
+        for direction, on_air in schedule.sets
     ]
     stored = ([0] * (nodes + 1), [0] * (nodes + 1))  # forward, reverse label held per node
     known = [0] * (nodes + 1)
@@ -246,7 +247,7 @@ def _simulate(schedule, num_periods):
 
     for t in range(1, slots + 1):
         sent, touched = [], []
-        for node, dirs, receivers in plan[(t - 1) % period]:
+        for node, dirs, hears in plan[(t - 1) % period]:
             if node == 1 or node == nodes:
                 d = 0 if node == 1 else 1
                 injected[fresh[d]] = t
@@ -262,7 +263,7 @@ def _simulate(schedule, num_periods):
                 if not held:
                     continue  # scheduled but nothing to relay yet
             sent += (node, label)
-            for rx, d, endpoint in receivers:
+            for rx, d, endpoint in hears:
                 residual = label & ~known[rx]
                 if not residual:
                     continue

@@ -4,9 +4,9 @@ Node indices here are positions along a route (1 = source end). Traditional
 relaying alternates a forward half-cycle and a reverse half-cycle, each Z
 slots long. Coded relaying reuses the forward progression alone, every node
 broadcasting to both neighbours, so its period is Z. Each slot's transmit
-set is one arithmetic progression of nodes Z apart; a ``Schedule`` holds, for
-slot i + 1 of its period, the frozenset of ``Transmitter``s on air as
-``sets[i]``.
+set is one arithmetic progression of nodes Z apart, and every node in it sends
+the same way; a ``Schedule`` holds, for slot i + 1 of its period, the pair
+(direction, frozenset of nodes on air) as ``sets[i]``.
 """
 
 from dataclasses import dataclass
@@ -40,38 +40,26 @@ class ScheduleConfig:
             raise ValueError("mode must be %r or %r" % (MODE_TR, MODE_NC))
 
 
-@dataclass(frozen=True)
-class Transmitter:
-    stream: int
-    node: int
-    direction: str
-
-    def receivers(self, nodes):
-        """Route positions this transmission is addressed to."""
-        if self.direction == FORWARD:
-            return (self.node + 1,)
-        if self.direction == REVERSE:
-            return (self.node - 1,)
-        out = []
-        if self.node > 1:
-            out.append(self.node - 1)
-        if self.node < nodes:
-            out.append(self.node + 1)
-        return tuple(out)
+def receivers(direction, node, nodes):
+    """Route positions a node sending in ``direction`` on a line of ``nodes`` is addressed to."""
+    if direction == FORWARD:
+        return (node + 1,)
+    if direction == REVERSE:
+        return (node - 1,)
+    return tuple([n for n in (node - 1, node + 1) if 1 <= n <= nodes])
 
 
 @dataclass(frozen=True)
 class Schedule:
     config: ScheduleConfig
-    stream: int
-    sets: tuple  # frozenset of Transmitters per slot of the period
+    sets: tuple  # (direction, frozenset of nodes on air) per slot of the period
 
     @property
     def period(self):
         return len(self.sets)
 
     def slot(self, global_slot):
-        """Transmitters on air in a 1-based global slot index."""
+        """(direction, nodes on air) in a 1-based global slot index."""
         return self.sets[(global_slot - 1) % self.period]
 
 
@@ -109,24 +97,21 @@ def _check_slot(nodes, z, slot):
         raise ValueError("slot %r outside period 1..%d" % (slot, z))
 
 
-def _transmit_sets(config, stream, direction, set_form):
-    """List of one frozenset of Transmitters per slot 1..z, their nodes from set_form."""
-    return [
-        frozenset(Transmitter(stream, n, direction) for n in set_form(config.nodes, config.z, slot))
-        for slot in range(1, config.z + 1)
-    ]
+def _slots(config, direction, set_form):
+    """List of (direction, nodes on air) for each slot 1..z, the nodes from set_form."""
+    return [(direction, set_form(config.nodes, config.z, slot)) for slot in range(1, config.z + 1)]
 
 
-def tr_schedule(config, stream=1):
+def tr_schedule(config):
     """Store-and-forward schedule: z forward slots then z reverse slots."""
     if config.mode != MODE_TR:
         raise ValueError("config mode is %r, expected %r" % (config.mode, MODE_TR))
-    sets = _transmit_sets(config, stream, FORWARD, forward_set) + _transmit_sets(config, stream, REVERSE, reverse_set)
-    return Schedule(config=config, stream=stream, sets=tuple(sets))
+    sets = _slots(config, FORWARD, forward_set) + _slots(config, REVERSE, reverse_set)
+    return Schedule(config=config, sets=tuple(sets))
 
 
-def nc_schedule(config, stream=1):
+def nc_schedule(config):
     """Coded-relaying schedule: every node broadcasts in its progression slot."""
     if config.mode != MODE_NC:
         raise ValueError("config mode is %r, expected %r" % (config.mode, MODE_NC))
-    return Schedule(config=config, stream=stream, sets=tuple(_transmit_sets(config, stream, BROADCAST, nc_transmit_set)))
+    return Schedule(config=config, sets=tuple(_slots(config, BROADCAST, nc_transmit_set)))

@@ -23,7 +23,16 @@ from multihop import capacity
 from multihop.capacity import build_schedules, event_sinr, reception_events, stream_capacity
 from multihop.layout import LayoutConfig, NodeGeometry, build_layout, stream_route
 from multihop.radio import RadioConfig, shannon_rate
-from multihop.schedule import FORWARD, MODE_NC, MODE_TR, REVERSE, ScheduleConfig, nc_schedule, tr_schedule
+from multihop.schedule import (
+    FORWARD,
+    MODE_NC,
+    MODE_TR,
+    REVERSE,
+    ScheduleConfig,
+    nc_schedule,
+    receivers,
+    tr_schedule,
+)
 from test_capacity_kernel import PROPERTY_SETTINGS, REL, close, event_blocks, radios, scenarios
 
 BOTTLENECKS = ("forward_bottleneck_bps", "reverse_bottleneck_bps", "capacity_bps")
@@ -62,9 +71,8 @@ def test_schedules_are_half_duplex(period):
         tr_schedule(ScheduleConfig(nodes=nodes, z=z, mode=MODE_TR)),
         nc_schedule(ScheduleConfig(nodes=nodes, z=z, mode=MODE_NC)),
     ):
-        for slot, ts in enumerate(sched.sets, 1):
-            sending = {t.node for t in ts}
-            assert not any(r in sending for t in ts for r in t.receivers(nodes)), slot
+        for slot, (direction, sending) in enumerate(sched.sets, 1):
+            assert not any(r in sending for t in sending for r in receivers(direction, t, nodes)), slot
 
 
 @PROPERTY_SETTINGS

@@ -108,11 +108,7 @@ def check_matrix_pass(scenario, radio):
             assert close(s, want), (ev, s, want)
             assert close(r, shannon_rate(radio, want))
             assert 0.0 <= s < math.inf and 0.0 <= r < math.inf
-            on_air = {
-                (t.stream, t.node)
-                for sched in schedules.values()
-                for t in sched.slot(ev.slot)
-            }
+            on_air = {(stream, n) for stream, sched in schedules.items() for n in sched.slot(ev.slot)[1]}
             assert ev.on_air == on_air
             assert ev.interferers == on_air - {(ev.stream, ev.transmitter)}
 

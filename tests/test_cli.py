@@ -1,5 +1,7 @@
 """Command-line verbs, exit codes, and output plumbing."""
 
+import hashlib
+
 import pytest
 
 from multihop import cli
@@ -74,6 +76,26 @@ class TestVerbs:
         assert "optimum-Z matches" in out
         assert "NC over TR improvement" in out
 
+    # sha256 of the ``capacity`` stdout for Z 2..5, each under --tr-phase same then opposite
+    CAPACITY_STDOUT_SHA256 = {
+        ("TR", "1"): "82a945f96904f23ec828000543f075c84f46790c04ac153599acfae82f733ee9",
+        ("TR", "2"): "8405425f5fb4f1e429e89c139e4faf84ed6c4bafda9d42142ff98a60d0e88bda",
+        ("NC", "1"): "ad9667688c2c0b76e7a09ee7f0768ce2fc4310c97884611afa1e7203efe0bcf1",
+        ("NC", "2"): "c3ba506a5270ad0287b91cd7bd36379084a7134a6787ec52f0a752a0c7968e72",
+    }
+
+    @pytest.mark.parametrize("mode,streams", sorted(CAPACITY_STDOUT_SHA256))
+    def test_capacity_stdout_is_pinned(self, mode, streams, capsys):
+        digest = hashlib.sha256()
+        for z in ("2", "3", "4", "5"):
+            for phase in ("same", "opposite"):
+                argv = ["capacity", "--mode", mode, "--z", z, "--tr-phase", phase, "--streams", streams]
+                assert cli.main(argv) == 0
+                out, err = capsys.readouterr()
+                assert err == "", argv
+                digest.update(out.encode())
+        assert digest.hexdigest() == self.CAPACITY_STDOUT_SHA256[(mode, streams)]
+
 
 class TestExitCodes:
     def test_missing_config_file(self, capsys):
@@ -138,6 +160,17 @@ class TestExitCodes:
         assert cli.main(verb + ["--tx-gain", "1e200", "--rx-gain", "1e200"]) == 1
         err = capsys.readouterr().err
         assert "SINR is nan" in err and "mismatch" not in err
+
+    @pytest.mark.parametrize(
+        "verb",
+        [["layout"], ["capacity", "--mode", "TR", "--z", "3"], ["sweep"]],
+        ids=["layout", "capacity", "sweep"],
+    )
+    def test_overflowing_layout_is_rejected_before_any_arithmetic(self, verb, capsys):
+        assert cli.main(verb + ["--hop-length-m", "1e308"]) == 1
+        assert capsys.readouterr().err == (
+            "error: hop_length_m 1e+308 and row_separation_m 300.0 put the farthest nodes beyond float range\n"
+        )
 
     @pytest.mark.parametrize(
         "argv",

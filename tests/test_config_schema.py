@@ -168,3 +168,22 @@ def test_unknown_tr_phase_exits_one_on_every_verb(verb, capsys):
 def test_unknown_tr_phase_in_a_config_file_is_rejected():
     with pytest.raises(ConfigError, match="tr_phase"):
         parse_config_text("tr_phase = sideways\n")
+
+
+def empty_entry_texts(key):
+    """List values for ``key`` with an empty entry: between two, trailing, and the whole value."""
+    v = DEFAULTS[key][0]
+    return ["%s,,%s" % (v, v), "%s," % v, ""]
+
+
+@pytest.mark.parametrize("key", sorted(LIST_KEYS))
+def test_empty_list_entry_in_a_config_file_is_rejected(key):
+    for text in empty_entry_texts(key):
+        with pytest.raises(ConfigError, match=r"^empty value for '%s'$" % key):
+            parse_config_text("%s = %s\n" % (key, text))
+
+
+@pytest.mark.parametrize("text", empty_entry_texts("z_values"), ids=["inner", "trailing", "empty"])
+def test_empty_list_entry_on_the_command_line_exits_one(text, capsys):
+    assert cli.main(["sweep", "--z-values", text]) == 1
+    assert capsys.readouterr().err == "error: empty value for 'z_values'\n"

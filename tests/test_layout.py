@@ -44,6 +44,25 @@ class TestLayoutConfig:
         with pytest.raises(ValueError, match="finite"):
             LayoutConfig(**{field: value})
 
+    @pytest.mark.parametrize(
+        "params",
+        [
+            dict(hop_length_m=1e308),
+            dict(nodes_per_stream=3, num_streams=1, hop_length_m=1e308),
+            dict(nodes_per_stream=3, hop_length_m=6e307, row_separation_m=1.5e308),  # each leg finite, the diagonal not
+        ],
+        ids=["row", "one-row", "diagonal"],
+    )
+    def test_rejects_spacings_whose_largest_distance_overflows(self, params):
+        with pytest.raises(ValueError, match=r"^hop_length_m .* and row_separation_m .* beyond float range$"):
+            LayoutConfig(**params)
+
+    def test_largest_finite_distance_is_accepted(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            geo = build_layout(LayoutConfig(nodes_per_stream=3, num_streams=1, hop_length_m=8e307))
+        assert geo.distance((1, 1), (1, 3)) == 1.6e308
+
 
 class TestGeometry:
     def test_positions_form_the_grid(self):

@@ -9,10 +9,10 @@ from multihop.schedule import (
     MODE_TR,
     REVERSE,
     ScheduleConfig,
-    Transmitter,
     forward_set,
     nc_schedule,
     nc_transmit_set,
+    receivers,
     reverse_set,
     tr_schedule,
 )
@@ -133,35 +133,29 @@ class TestSchedules:
 
     def test_tr_halves_carry_directions(self):
         sched = tr_schedule(ScheduleConfig(nodes=5, z=3, mode=MODE_TR))
-        for ts in sched.sets[:3]:
-            assert all(t.direction == FORWARD for t in ts)
-        for ts in sched.sets[3:]:
-            assert all(t.direction == REVERSE for t in ts)
+        assert [direction for direction, _ in sched.sets] == [FORWARD] * 3 + [REVERSE] * 3
 
     def test_tr_golden_node_sets(self):
         sched = tr_schedule(ScheduleConfig(nodes=5, z=3, mode=MODE_TR))
-        assert [sorted(t.node for t in ts) for ts in sched.sets] == [
+        assert [sorted(on_air) for _, on_air in sched.sets] == [
             [1, 4], [2], [3], [2, 5], [4], [3],
         ]
 
     def test_nc_period_is_z_and_broadcasts(self):
         sched = nc_schedule(ScheduleConfig(nodes=5, z=4, mode=MODE_NC))
         assert sched.period == 4
-        assert all(t.direction == BROADCAST for ts in sched.sets for t in ts)
-        assert sorted(t.node for t in sched.sets[0]) == [1, 5]
+        assert all(direction == BROADCAST for direction, _ in sched.sets)
+        assert sorted(sched.sets[0][1]) == [1, 5]
 
     @pytest.mark.parametrize("nodes,z", GRID)
     def test_each_slot_is_the_frozenset_of_its_set_form(self, nodes, z):
-        for stream in (1, 2):
-            tr = tr_schedule(ScheduleConfig(nodes=nodes, z=z, mode=MODE_TR), stream=stream)
-            nc = nc_schedule(ScheduleConfig(nodes=nodes, z=z, mode=MODE_NC), stream=stream)
-            for s in range(1, z + 1):
-                forward = frozenset(Transmitter(stream, n, FORWARD) for n in forward_set(nodes, z, s))
-                reverse = frozenset(Transmitter(stream, n, REVERSE) for n in reverse_set(nodes, z, s))
-                broadcast = frozenset(Transmitter(stream, n, BROADCAST) for n in nc_transmit_set(nodes, z, s))
-                assert tr.sets[s - 1] == forward
-                assert tr.sets[z + s - 1] == reverse
-                assert nc.sets[s - 1] == broadcast
+        tr = tr_schedule(ScheduleConfig(nodes=nodes, z=z, mode=MODE_TR))
+        nc = nc_schedule(ScheduleConfig(nodes=nodes, z=z, mode=MODE_NC))
+        for s in range(1, z + 1):
+            assert tr.sets[s - 1] == (FORWARD, forward_set(nodes, z, s))
+            assert tr.sets[z + s - 1] == (REVERSE, reverse_set(nodes, z, s))
+            assert nc.sets[s - 1] == (BROADCAST, nc_transmit_set(nodes, z, s))
+        assert all(type(on_air) is frozenset for _, on_air in tr.sets + nc.sets)
 
     def test_slot_lookup_wraps(self):
         sched = tr_schedule(ScheduleConfig(nodes=5, z=3, mode=MODE_TR))
@@ -174,10 +168,9 @@ class TestSchedules:
         tr = tr_schedule(ScheduleConfig(nodes=nodes, z=z, mode=MODE_TR))
         nc = nc_schedule(ScheduleConfig(nodes=nodes, z=z, mode=MODE_NC))
         for sched in (tr, nc):
-            for ts in sched.sets:
-                sending = {t.node for t in ts}
-                for t in ts:
-                    for r in t.receivers(nodes):
+            for direction, sending in sched.sets:
+                for t in sending:
+                    for r in receivers(direction, t, nodes):
                         assert r not in sending
 
     def test_mode_mismatch_rejected(self):
@@ -196,8 +189,8 @@ class TestSchedules:
 
     def test_broadcast_receivers_are_both_neighbours(self):
         sched = nc_schedule(ScheduleConfig(nodes=5, z=4, mode=MODE_NC))
-        by_node = {t.node: t for t in sched.sets[0]}
-        assert by_node[1].receivers(5) == (2,)
-        assert by_node[5].receivers(5) == (4,)
-        mid = next(t for t in sched.sets[2] if t.node == 3)
-        assert mid.receivers(5) == (2, 4)
+        assert sched.sets[0] == (BROADCAST, {1, 5})
+        assert receivers(BROADCAST, 1, 5) == (2,)
+        assert receivers(BROADCAST, 5, 5) == (4,)
+        assert 3 in sched.sets[2][1]
+        assert receivers(BROADCAST, 3, 5) == (2, 4)
