@@ -5,7 +5,7 @@ reverse half of Z slots each. The coded mode serves both directions
 from a single set per slot, so its period is Z, not 2Z.
 """
 
-from multihop import ScheduleConfig, forward_set, reverse_set, nc_transmit_set, tr_schedule, nc_schedule
+from multihop import forward_set, reverse_set, nc_transmit_set, tr_schedule, nc_schedule
 
 
 def show(nodes, z):
@@ -26,7 +26,7 @@ show(6, 2)
 
 # A Schedule holds each slot as its direction and the same set of
 # nodes on air, and repeats forever: slot period+1 is slot 1 again.
-sched = tr_schedule(ScheduleConfig(nodes=5, z=3))
+sched = tr_schedule(5, 3)
 first = sched.slot(1)
 again = sched.slot(1 + sched.period)
 print("traditional schedule, 5 nodes, Z = 3")
@@ -34,7 +34,7 @@ print("  period %d, slot 1 transmitters: %s"
       % (sched.period, sorted(first[1])))
 print("  slot %d equals slot 1: %s" % (1 + sched.period, first == again))
 
-sched = nc_schedule(ScheduleConfig(nodes=5, z=3, mode="NC"))
+sched = nc_schedule(5, 3)
 print("coded schedule, 5 nodes, Z = 3")
 print("  period %d, slot 1 transmitters: %s"
       % (sched.period, sorted(sched.slot(1)[1])))

@@ -8,7 +8,6 @@ model with a packet-level simulation of the same schedules.
 from multihop.layout import LayoutConfig, NodeGeometry, Route, build_layout, stream_route
 from multihop.radio import RadioConfig, path_constant, received_power, noise_power, sinr, shannon_rate
 from multihop.schedule import (
-    ScheduleConfig,
     Schedule,
     forward_set,
     reverse_set,

@@ -120,13 +120,13 @@ def build_schedules(routes, mode, z, tr_phase="same"):
     schedules = {}
     for stream in sorted(routes):
         route = routes[stream]
-        config = ScheduleConfig(nodes=route.num_nodes, z=z, mode=mode)
+        ScheduleConfig(nodes=route.num_nodes, z=z, mode=mode)  # rejects a mode the else would build as NC
         if mode == MODE_TR:
-            sched = tr_schedule(config)
+            sched = tr_schedule(route.num_nodes, z)
             if tr_phase == "opposite" and stream == 2:
-                sched = Schedule(config=config, sets=sched.sets[z:] + sched.sets[:z])
+                sched = Schedule(config=sched.config, sets=sched.sets[z:] + sched.sets[:z])
         else:
-            sched = nc_schedule(config)
+            sched = nc_schedule(route.num_nodes, z)
         schedules[stream] = sched
     return schedules
 

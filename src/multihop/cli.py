@@ -153,6 +153,8 @@ def cmd_capacity(args):
 
 
 def cmd_simulate(args):
+    if args.trace_csv == "-":
+        raise ValueError("--trace-csv must name a file, not '-': only sweep writes CSV to stdout")
     cfg = _effective_config(args)
     nodes = _hops(args, cfg) + 1
     if args.periods is not None and args.periods < 1:
@@ -190,6 +192,8 @@ def cmd_sweep(args):
 
 
 def cmd_table4(args):
+    if args.output == "-":
+        raise ValueError("--output must name a file, not '-': only sweep writes CSV to stdout")
     cfg = _effective_config(args)
     rows = table4_rows(cfg)
     print(render_table4(compare_table4(rows)), end="")

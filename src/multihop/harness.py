@@ -98,7 +98,7 @@ def parse_config_text(text):
 
 def load_config(path):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # drops a leading byte order mark
             text = fh.read()
     except OSError as exc:
         raise ConfigError("cannot read config %s: %s" % (path, exc)) from None

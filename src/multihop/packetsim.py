@@ -24,10 +24,8 @@ from functools import cache, cached_property
 from multihop.schedule import (
     BROADCAST,
     FORWARD,
-    MODE_NC,
-    MODE_TR,
     REVERSE,
-    ScheduleConfig,
+    Schedule,
     nc_schedule,
     receivers,
     tr_schedule,
@@ -96,21 +94,25 @@ class SlotRecord:
 
 @dataclass
 class SimTrace:
-    mode: str
-    nodes: int
-    z: int
-    period: int
-    warmup_slots: int  # first slot by which both directions delivered, else the run's length
+    schedule: Schedule = field(repr=False)  # the run's; mode, nodes, z and period are read from it
+    mode: str = field(init=False)
+    nodes: int = field(init=False)
+    z: int = field(init=False)
+    period: int = field(init=False)
+    warmup_slots: int = 0  # first slot by which both directions delivered, else the run's length
     dropped: int = 0  # stored packets overwritten before being relayed
     # packets as bit indices (PacketId.alphabet_index), which the injections and
     # deliveries properties turn into objects on first read: index -> first tx
     # slot, and (index, node, slot, latency) per delivery in delivery order
     _injected: dict = field(default_factory=dict)
     _delivered: list = field(default_factory=list)
-    _schedule: object = field(default=None, repr=False)
     # per slot: ([node, label, ...] sent, nodes that stored a label, deliveries
     # so far, forward and reverse label held per node), labels as bitmasks
     _log: list = field(default_factory=list, repr=False)
+
+    def __post_init__(self):
+        config = self.schedule.config
+        self.mode, self.nodes, self.z, self.period = config.mode, config.nodes, config.z, self.schedule.period
 
     @property
     def total_slots(self):
@@ -139,7 +141,7 @@ class SimTrace:
     def _records(self, first, last):
         """SlotRecords for slots first..last; each log entry stands on its own."""
         packets = {1 << p.alphabet_index: p for p in self.injections}
-        sets = self._schedule.sets
+        sets = self.schedule.sets
         scheduled = [tuple(sorted(on_air)) for _, on_air in sets]
         broadcasters = {n for direction, on_air in sets if direction == BROADCAST for n in on_air}
 
@@ -190,7 +192,7 @@ def run_tr_sim(nodes, z, num_periods=None):
     one hop per forward slot and sits out the reverse half-cycles, which is
     where the closed-form latency picks up its z * floor((N_o-2)/z) term.
     """
-    return _simulate(tr_schedule(ScheduleConfig(nodes=nodes, z=z, mode=MODE_TR)), num_periods)
+    return _simulate(tr_schedule(nodes, z), num_periods)
 
 
 def run_nc_sim(nodes, z, num_periods=None):
@@ -202,7 +204,7 @@ def run_nc_sim(nodes, z, num_periods=None):
     stores it for the opposite-neighbour hop. Endpoints decode the same way,
     which is what lets a combined packet serve both directions at once.
     """
-    return _simulate(nc_schedule(ScheduleConfig(nodes=nodes, z=z, mode=MODE_NC)), num_periods)
+    return _simulate(nc_schedule(nodes, z), num_periods)
 
 
 def _simulate(schedule, num_periods):
@@ -220,9 +222,8 @@ def _simulate(schedule, num_periods):
     """
     if num_periods is not None and (type(num_periods) is not int or num_periods < 1):
         raise ValueError("num_periods must be None or an int >= 1, not %r" % (num_periods,))
-    config = schedule.config
-    nodes, period = config.nodes, schedule.period
-    trace = SimTrace(mode=config.mode, nodes=nodes, z=config.z, period=period, warmup_slots=0, _schedule=schedule)
+    trace = SimTrace(schedule)
+    nodes, period = trace.nodes, trace.period
     serves = {FORWARD: (0,), REVERSE: (1,), BROADCAST: (0, 1)}  # indices into stored
     ends = (1, nodes)
     # each slot of the period: its transmitters in node order as (node, directions

@@ -1,12 +1,12 @@
 """Periodic TDMA transmit sets for a line of N_o nodes and reuse period Z.
 
 Node indices here are positions along a route (1 = source end). Traditional
-relaying alternates a forward half-cycle and a reverse half-cycle, each Z
-slots long. Coded relaying reuses the forward progression alone, every node
-broadcasting to both neighbours, so its period is Z. Each slot's transmit
-set is one arithmetic progression of nodes Z apart, and every node in it sends
-the same way; a ``Schedule`` holds, for slot i + 1 of its period, the pair
-(direction, frozenset of nodes on air) as ``sets[i]``.
+relaying, ``tr_schedule(nodes, z)``, alternates forward and reverse
+half-cycles of Z slots each. Coded relaying, ``nc_schedule(nodes, z)``, reuses
+the forward progression alone, every node broadcasting to both neighbours, so
+its period is Z. A slot's transmit set is one progression of nodes Z apart,
+all sending one way; ``Schedule.sets[i]`` is slot i + 1's (direction, frozenset
+of nodes on air). Both functions first validate a ``ScheduleConfig`` of their mode.
 """
 
 from dataclasses import dataclass
@@ -97,21 +97,14 @@ def _check_slot(nodes, z, slot):
         raise ValueError("slot %r outside period 1..%d" % (slot, z))
 
 
-def _slots(config, direction, set_form):
-    """List of (direction, nodes on air) for each slot 1..z, the nodes from set_form."""
-    return [(direction, set_form(config.nodes, config.z, slot)) for slot in range(1, config.z + 1)]
+def tr_schedule(nodes, z):
+    """Store-and-forward schedule on a line of ``nodes``: z forward slots then z reverse slots."""
+    config = ScheduleConfig(nodes=nodes, z=z, mode=MODE_TR)
+    halves = ((FORWARD, forward_set), (REVERSE, reverse_set))
+    return Schedule(config=config, sets=tuple([(d, form(nodes, z, s)) for d, form in halves for s in range(1, z + 1)]))
 
 
-def tr_schedule(config):
-    """Store-and-forward schedule: z forward slots then z reverse slots."""
-    if config.mode != MODE_TR:
-        raise ValueError("config mode is %r, expected %r" % (config.mode, MODE_TR))
-    sets = _slots(config, FORWARD, forward_set) + _slots(config, REVERSE, reverse_set)
-    return Schedule(config=config, sets=tuple(sets))
-
-
-def nc_schedule(config):
-    """Coded-relaying schedule: every node broadcasts in its progression slot."""
-    if config.mode != MODE_NC:
-        raise ValueError("config mode is %r, expected %r" % (config.mode, MODE_NC))
-    return Schedule(config=config, sets=tuple(_slots(config, BROADCAST, nc_transmit_set)))
+def nc_schedule(nodes, z):
+    """Coded-relaying schedule on a line of ``nodes``: every node broadcasts in its progression slot."""
+    config = ScheduleConfig(nodes=nodes, z=z, mode=MODE_NC)
+    return Schedule(config=config, sets=tuple([(BROADCAST, nc_transmit_set(nodes, z, s)) for s in range(1, z + 1)]))

@@ -28,7 +28,6 @@ from multihop.schedule import (
     MODE_NC,
     MODE_TR,
     REVERSE,
-    ScheduleConfig,
     nc_schedule,
     receivers,
     tr_schedule,
@@ -67,10 +66,7 @@ def periods(draw):
 def test_schedules_are_half_duplex(period):
     """No addressed receiver transmits in its slot, for N <= 64 and Z <= 3N."""
     nodes, z = period
-    for sched in (
-        tr_schedule(ScheduleConfig(nodes=nodes, z=z, mode=MODE_TR)),
-        nc_schedule(ScheduleConfig(nodes=nodes, z=z, mode=MODE_NC)),
-    ):
+    for sched in (tr_schedule(nodes, z), nc_schedule(nodes, z)):
         for slot, (direction, sending) in enumerate(sched.sets, 1):
             assert not any(r in sending for t in sending for r in receivers(direction, t, nodes)), slot
 

@@ -5,7 +5,7 @@ import hashlib
 import pytest
 
 from multihop import cli
-from multihop.harness import EngineMismatchError, read_csv
+from multihop.harness import EngineMismatchError, load_config, read_csv
 
 
 class TestVerbs:
@@ -69,6 +69,18 @@ class TestVerbs:
         assert cli.main(["sweep", "--config", str(cfg)]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 1 + 8
+
+    def test_config_file_with_a_byte_order_mark(self, tmp_path, capsys):
+        text = "num_streams = 1\nnodes_per_stream = 4\n"
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        assert load_config(str(marked)) == load_config(str(plain))
+        outs = []
+        for cfg in (plain, marked):
+            assert cli.main(["layout", "--config", str(cfg)]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] and "1 stream(s) x 4 nodes" in outs[0]
 
     def test_table4_summarizes_the_comparison(self, capsys):
         assert cli.main(["table4"]) == 0
@@ -193,6 +205,25 @@ class TestExitCodes:
         assert err.startswith("error: ")
         if int(periods) < 1:
             assert err == "error: --periods must be at least 1, got %s\n" % periods
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["table4", "--output", "-"], "--output"),
+            (["simulate", "--mode", "NC", "--z", "3", "--trace-csv", "-"], "--trace-csv"),
+        ],
+        ids=["table4", "simulate"],
+    )
+    def test_dash_is_not_a_file_path(self, argv, flag, tmp_path, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran before the output path was checked")
+
+        for name in ("table4_rows", "run_tr_sim", "run_nc_sim"):
+            monkeypatch.setattr(cli, name, refuse)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(argv) == 1
+        assert capsys.readouterr() == ("", "error: %s must name a file, not '-': only sweep writes CSV to stdout\n" % flag)
+        assert list(tmp_path.iterdir()) == []
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -32,7 +32,6 @@ from multihop.schedule import (
     MODE_TR,
     REVERSE,
     Schedule,
-    ScheduleConfig,
     nc_schedule,
     tr_schedule,
 )
@@ -317,7 +316,7 @@ class TestRunLength:
 
     def test_no_steady_state_hits_the_cap(self):
         # the high end never transmits, so nothing travels in reverse
-        schedule = tr_schedule(ScheduleConfig(5, 3, MODE_TR))
+        schedule = tr_schedule(5, 3)
         mute = tuple((direction, on_air - {5}) for direction, on_air in schedule.sets)
         with pytest.raises(SteadyStateError, match=r"no steady state within \d+ slots"):
             packetsim._simulate(Schedule(config=schedule.config, sets=mute), None)
@@ -607,7 +606,7 @@ class TestPacketsOnDemand:
     @given(st.integers(3, 64), st.sampled_from((FORWARD, REVERSE)), st.integers(1, 500))
     def test_packet_round_trips_through_its_bit_index(self, nodes, direction, seq):
         pid = PacketId(direction, seq, 1 if direction == FORWARD else nodes)
-        trace = SimTrace(mode=MODE_NC, nodes=nodes, z=2, period=2, warmup_slots=0)
+        trace = SimTrace(nc_schedule(nodes, 2))
         assert trace._packet(pid.alphabet_index) == pid
 
     @pytest.mark.parametrize("run", [run_tr_sim, run_nc_sim])
@@ -661,9 +660,9 @@ class TestSlotRecordProperties:
     def test_records_agree_with_the_trace(self, case):
         mode, nodes, z = case
         if mode == MODE_TR:
-            trace, schedule = run_tr_sim(nodes, z), tr_schedule(ScheduleConfig(nodes, z, MODE_TR))
+            trace, schedule = run_tr_sim(nodes, z), tr_schedule(nodes, z)
         else:
-            trace, schedule = run_nc_sim(nodes, z), nc_schedule(ScheduleConfig(nodes, z, MODE_NC))
+            trace, schedule = run_nc_sim(nodes, z), nc_schedule(nodes, z)
         broadcasters = {n for direction, on_air in schedule.sets if direction == BROADCAST for n in on_air}
 
         def valid(label):

@@ -128,29 +128,29 @@ class TestNcTransmitSets:
 
 class TestSchedules:
     def test_tr_period_is_twice_z(self):
-        sched = tr_schedule(ScheduleConfig(nodes=5, z=3, mode=MODE_TR))
+        sched = tr_schedule(5, 3)
         assert sched.period == 6
 
     def test_tr_halves_carry_directions(self):
-        sched = tr_schedule(ScheduleConfig(nodes=5, z=3, mode=MODE_TR))
+        sched = tr_schedule(5, 3)
         assert [direction for direction, _ in sched.sets] == [FORWARD] * 3 + [REVERSE] * 3
 
     def test_tr_golden_node_sets(self):
-        sched = tr_schedule(ScheduleConfig(nodes=5, z=3, mode=MODE_TR))
+        sched = tr_schedule(5, 3)
         assert [sorted(on_air) for _, on_air in sched.sets] == [
             [1, 4], [2], [3], [2, 5], [4], [3],
         ]
 
     def test_nc_period_is_z_and_broadcasts(self):
-        sched = nc_schedule(ScheduleConfig(nodes=5, z=4, mode=MODE_NC))
+        sched = nc_schedule(5, 4)
         assert sched.period == 4
         assert all(direction == BROADCAST for direction, _ in sched.sets)
         assert sorted(sched.sets[0][1]) == [1, 5]
 
     @pytest.mark.parametrize("nodes,z", GRID)
     def test_each_slot_is_the_frozenset_of_its_set_form(self, nodes, z):
-        tr = tr_schedule(ScheduleConfig(nodes=nodes, z=z, mode=MODE_TR))
-        nc = nc_schedule(ScheduleConfig(nodes=nodes, z=z, mode=MODE_NC))
+        tr = tr_schedule(nodes, z)
+        nc = nc_schedule(nodes, z)
         for s in range(1, z + 1):
             assert tr.sets[s - 1] == (FORWARD, forward_set(nodes, z, s))
             assert tr.sets[z + s - 1] == (REVERSE, reverse_set(nodes, z, s))
@@ -158,26 +158,20 @@ class TestSchedules:
         assert all(type(on_air) is frozenset for _, on_air in tr.sets + nc.sets)
 
     def test_slot_lookup_wraps(self):
-        sched = tr_schedule(ScheduleConfig(nodes=5, z=3, mode=MODE_TR))
+        sched = tr_schedule(5, 3)
         assert sched.slot(1) is sched.sets[0]
         assert sched.slot(7) is sched.sets[0]
         assert sched.slot(12) is sched.sets[5]
 
     @pytest.mark.parametrize("nodes,z", GRID)
     def test_no_addressed_receiver_is_transmitting(self, nodes, z):
-        tr = tr_schedule(ScheduleConfig(nodes=nodes, z=z, mode=MODE_TR))
-        nc = nc_schedule(ScheduleConfig(nodes=nodes, z=z, mode=MODE_NC))
+        tr = tr_schedule(nodes, z)
+        nc = nc_schedule(nodes, z)
         for sched in (tr, nc):
             for direction, sending in sched.sets:
                 for t in sending:
                     for r in receivers(direction, t, nodes):
                         assert r not in sending
-
-    def test_mode_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            tr_schedule(ScheduleConfig(nodes=5, z=3, mode=MODE_NC))
-        with pytest.raises(ValueError):
-            nc_schedule(ScheduleConfig(nodes=5, z=3, mode=MODE_TR))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -187,8 +181,18 @@ class TestSchedules:
         with pytest.raises(ValueError):
             ScheduleConfig(nodes=5, z=2, mode="XX")
 
+    @pytest.mark.parametrize("nodes,z", [(2, 2), (5, 1), (5, 0), (5, -3)])
+    def test_schedules_validate_nodes_and_z_before_any_slot(self, nodes, z):
+        for build in (tr_schedule, nc_schedule):
+            with pytest.raises(ValueError):
+                build(nodes, z)
+
+    def test_schedules_carry_their_own_mode(self):
+        assert tr_schedule(5, 3).config == ScheduleConfig(nodes=5, z=3, mode=MODE_TR)
+        assert nc_schedule(5, 3).config == ScheduleConfig(nodes=5, z=3, mode=MODE_NC)
+
     def test_broadcast_receivers_are_both_neighbours(self):
-        sched = nc_schedule(ScheduleConfig(nodes=5, z=4, mode=MODE_NC))
+        sched = nc_schedule(5, 4)
         assert sched.sets[0] == (BROADCAST, {1, 5})
         assert receivers(BROADCAST, 1, 5) == (2,)
         assert receivers(BROADCAST, 5, 5) == (4,)
