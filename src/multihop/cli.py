@@ -5,11 +5,12 @@ Z) cell with its reception events, ``simulate`` runs the packet engine and can
 print the slot-by-slot trace, ``sweep`` emits the experiment CSV, ``table4``
 compares a full sweep against the published reference table.
 
-Exit codes: 0 on success, 1 for invalid configuration or usage, 2 when the
-analytical and packet engines disagree with each other.
+Exit codes: 0 on success, 1 for invalid configuration or usage or a closed
+standard output, 2 when the analytical and packet engines disagree.
 """
 
 import argparse
+import os
 import sys
 import warnings
 from dataclasses import fields, replace
@@ -251,6 +252,8 @@ def main(argv=None):
         try:
             args = parser.parse_args(argv)
             return args.func(args)
+        except BrokenPipeError:  # stdout closed early, as under `| head`: exit quietly
+            return 1
         except EngineMismatchError as exc:
             print("engine mismatch: %s" % exc, file=sys.stderr)
             return 2
@@ -260,7 +263,13 @@ def main(argv=None):
 
 
 def console_main():
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:  # the Python docs' SIGPIPE recipe: exit's own flush must not fail too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

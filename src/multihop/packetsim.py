@@ -11,10 +11,10 @@ An explicit ``num_periods`` fixes the length instead.
 
 Inside the engine a label is an int with bit ``PacketId.alphabet_index`` set
 per component: XOR is ``^``, a strip is ``& ~known`` and a lone component has
-``r & (r - 1) == 0``. A run keeps packets as bit indices and one compact log
-entry per slot, so measuring a trace builds no ``PacketId``, ``Delivery`` or
-``SlotRecord``: ``SimTrace.injections``, ``deliveries`` and ``slots`` build
-them on first read, and each record its ``stored`` snapshot only when read.
+``r & (r - 1) == 0``. A run keeps packets as bit indices and one log entry per
+slot of what it sent and stored, so measuring builds no ``PacketId``,
+``Delivery`` or ``SlotRecord`` (``injections``, ``deliveries`` and ``slots``
+build them on first read). Records and trace text replay the log from slot 1.
 """
 
 from dataclasses import dataclass, field
@@ -25,6 +25,7 @@ from multihop.schedule import (
     BROADCAST,
     FORWARD,
     REVERSE,
+    SERVES,
     Schedule,
     nc_schedule,
     receivers,
@@ -83,7 +84,7 @@ class SlotRecord:
     transmissions: dict
     xors: tuple  # (node, combined label) formed at the end of this slot
     deliveries: tuple
-    _held: tuple = field(repr=False, compare=False)  # label function, then the log entry's forward and reverse rows
+    _held: tuple = field(repr=False, compare=False)  # label function, then the forward and reverse rows after the slot
 
     @cached_property
     def stored(self):
@@ -106,8 +107,8 @@ class SimTrace:
     # slot, and (index, node, slot, latency) per delivery in delivery order
     _injected: dict = field(default_factory=dict)
     _delivered: list = field(default_factory=list)
-    # per slot: ([node, label, ...] sent, nodes that stored a label, deliveries
-    # so far, forward and reverse label held per node), labels as bitmasks
+    # per slot: ([node, label, ...] sent, [receiver, direction index, label, ...]
+    # stored, deliveries so far), labels as bitmasks; a send clears its SERVES rows
     _log: list = field(default_factory=list, repr=False)
 
     def __post_init__(self):
@@ -138,36 +139,47 @@ class SimTrace:
         """One SlotRecord per timeslot, built from the log on first read."""
         return self._records(1, self.total_slots)
 
-    def _records(self, first, last):
-        """SlotRecords for slots first..last; each log entry stands on its own."""
-        packets = {1 << p.alphabet_index: p for p in self.injections}
-        sets = self.schedule.sets
-        scheduled = [tuple(sorted(on_air)) for _, on_air in sets]
-        broadcasters = {n for direction, on_air in sets if direction == BROADCAST for n in on_air}
-
-        @cache
-        def label(mask):
-            out = []
-            while mask:
-                out.append(packets[mask & -mask])
-                mask &= mask - 1
-            return frozenset(out)
-
-        records, done = [], self._log[first - 2][2] if first > 1 else 0
-        for t, (sent, touched, delivered, fwd, rev) in enumerate(self._log[first - 1 : last], first):
-            xors = [(n, fwd[n] ^ rev[n]) for n in sorted(broadcasters.intersection(touched)) if fwd[n] and rev[n]]
-            records.append(
-                SlotRecord(
-                    slot=t,
-                    scheduled=scheduled[(t - 1) % self.period],
-                    transmissions=dict(zip(sent[::2], map(label, sent[1::2]))),
-                    xors=tuple((n, label(mask)) for n, mask in xors),
-                    deliveries=tuple(self.deliveries[done:delivered]),
-                    _held=(label, fwd, rev),
-                )
-            )
+    def _replay(self, first, last):
+        """Replay the log from slot 1; per slot first..last yield (slot, sent, [(node, XOR
+        formed)], deliveries before and after it, forward and reverse rows, updated in place)."""
+        rows = fwd, rev = [0] * (self.nodes + 1), [0] * (self.nodes + 1)
+        broadcasters = {n for direction, on_air in self.schedule.sets if direction == BROADCAST for n in on_air}
+        done = 0
+        for t, (sent, touched, delivered) in enumerate(self._log[:last], 1):
+            for d in SERVES[self.schedule.slot(t)[0]]:
+                for n in sent[::2]:
+                    rows[d][n] = 0
+            it = iter(touched)
+            for n, d, mask in zip(it, it, it):
+                rows[d][n] = mask
+            if t >= first:
+                xors = [(n, fwd[n] ^ rev[n]) for n in sorted(broadcasters.intersection(touched[::3])) if fwd[n] and rev[n]]
+                yield t, sent, xors, done, delivered, fwd, rev
             done = delivered
-        return records
+
+    def _records(self, first, last):
+        """SlotRecords for slots first..last, from one replay of the log."""
+        packets = {p.alphabet_index: p for p in self.injections}
+        scheduled = [tuple(sorted(on_air)) for _, on_air in self.schedule.sets]
+        label = cache(lambda mask: frozenset([packets[i] for i in _bits(mask)]))
+        return [
+            SlotRecord(
+                slot=t,
+                scheduled=scheduled[(t - 1) % self.period],
+                transmissions=dict(zip(sent[::2], map(label, sent[1::2]))),
+                xors=tuple([(n, label(mask)) for n, mask in xors]),
+                deliveries=tuple(self.deliveries[done:delivered]),
+                _held=(label, tuple(fwd), tuple(rev)),
+            )
+            for t, sent, xors, done, delivered, fwd, rev in self._replay(first, last)
+        ]
+
+
+def _bits(mask):
+    """Bit indices set in a label, lowest first: its packets in injection order."""
+    while mask:
+        yield (mask & -mask).bit_length() - 1
+        mask &= mask - 1
 
 
 def tr_latency(nodes, z):
@@ -224,13 +236,12 @@ def _simulate(schedule, num_periods):
         raise ValueError("num_periods must be None or an int >= 1, not %r" % (num_periods,))
     trace = SimTrace(schedule)
     nodes, period = trace.nodes, trace.period
-    serves = {FORWARD: (0,), REVERSE: (1,), BROADCAST: (0, 1)}  # indices into stored
     ends = (1, nodes)
     # each slot of the period: its transmitters in node order as (node, directions
     # served, ((receiver, direction of travel, receiver is an endpoint), ...))
     plan = [
         [
-            (tx, serves[direction], tuple((rx, int(rx < tx), rx in ends) for rx in receivers(direction, tx, nodes)))
+            (tx, SERVES[direction], tuple((rx, int(rx < tx), rx in ends) for rx in receivers(direction, tx, nodes)))
             for tx in sorted(on_air)
         ]
         for direction, on_air in schedule.sets
@@ -280,8 +291,8 @@ def _simulate(schedule, num_periods):
                     if stored[d][rx]:
                         trace.dropped += 1
                     stored[d][rx] = residual
-                    touched.append(rx)
-        trace._log.append((sent, touched, len(delivered), tuple(stored[0]), tuple(stored[1])))
+                    touched += (rx, d, residual)
+        trace._log.append((sent, touched, len(delivered)))
         if not warmup:
             if late[0] and late[1]:
                 warmup, late = t, [0, 0]
@@ -328,26 +339,28 @@ def measured_delivery_rate(trace):
     return Fraction(count, whole * trace.period)
 
 
-def _label_cell(pairs, sep):
-    """(node, label) pairs as 'node:label' entries joined by sep, e.g. '2:A^B'."""
-    return sep.join("%d:%s" % (n, label_name(label)) for n, label in pairs)
-
-
-def _delivery_cell(rec):
-    return " ".join("%s->%d L=%d" % (d.packet.name, d.node, d.latency) for d in rec.deliveries)
+def _slot_cells(trace, first, last, sep, delivery):
+    """(slot, transmissions, XORs formed, deliveries) text cells for slots first..last, from the
+    replay with no SlotRecord: 'node:label' and ``delivery % (packet, node, latency)`` joined by sep."""
+    name = cache(lambda mask: label_name([trace._packet(i) for i in _bits(mask)]))
+    for t, sent, xors, done, delivered, _, _ in trace._replay(first, last):
+        yield (
+            t,
+            sep.join(["%d:%s" % (n, name(mask)) for n, mask in zip(sent[::2], sent[1::2])]),
+            sep.join(["%d:%s" % (n, name(mask)) for n, mask in xors]),
+            sep.join([delivery % (name(1 << idx), node, lat) for idx, node, _, lat in trace._delivered[done:delivered]]),
+        )
 
 
 def render_trace(trace, first=1, last=None):
     """Slot-by-slot text table of a trace, one line per timeslot."""
-    if last is None:
-        last = trace.total_slots
+    last = trace.total_slots if last is None else last
     if not 1 <= first <= last <= trace.total_slots:
         raise ValueError("slots %d..%d outside the trace's 1..%d" % (first, last, trace.total_slots))
     head = "%s nodes=%d z=%d period=%d" % (trace.mode, trace.nodes, trace.z, trace.period)
     rows = [("slot", "transmissions", "xor formed", "deliveries")]
-    for rec in trace._records(first, last):
-        tx, xors = _label_cell(sorted(rec.transmissions.items()), " "), _label_cell(rec.xors, " ")
-        rows.append((str(rec.slot), tx or "-", xors or "-", _delivery_cell(rec) or "-"))
+    for t, tx, xors, got in _slot_cells(trace, first, last, " ", "%s->%d L=%d"):
+        rows.append((str(t), tx or "-", xors or "-", got or "-"))
     widths = [max(len(r[i]) for r in rows) for i in range(4)]
     lines = [head]
     for i, r in enumerate(rows):
@@ -360,15 +373,7 @@ def render_trace(trace, first=1, last=None):
 def trace_to_csv_text(trace):
     """Machine-readable form of a trace; entries within a cell use ';'."""
     lines = ["slot,scheduled,transmissions,xors,deliveries"]
-    for rec in trace.slots:
-        lines.append(
-            "%d,%s,%s,%s,%s"
-            % (
-                rec.slot,
-                ";".join(str(n) for n in rec.scheduled),
-                _label_cell(sorted(rec.transmissions.items()), ";"),
-                _label_cell(rec.xors, ";"),
-                ";".join("%s@%d:L%d" % (d.packet.name, d.node, d.latency) for d in rec.deliveries),
-            )
-        )
+    scheduled = [";".join([str(n) for n in sorted(on_air)]) for _, on_air in trace.schedule.sets]
+    for t, tx, xors, got in _slot_cells(trace, 1, trace.total_slots, ";", "%s@%d:L%d"):
+        lines.append("%d,%s,%s,%s,%s" % (t, scheduled[(t - 1) % trace.period], tx, xors, got))
     return "\n".join(lines) + "\n"

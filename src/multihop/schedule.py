@@ -14,6 +14,7 @@ from dataclasses import dataclass
 FORWARD = "forward"
 REVERSE = "reverse"
 BROADCAST = "broadcast"
+SERVES = {FORWARD: (0,), REVERSE: (1,), BROADCAST: (0, 1)}  # travel directions a sender carries, 0 forward
 
 MODE_TR = "TR"
 MODE_NC = "NC"

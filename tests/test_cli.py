@@ -1,6 +1,10 @@
 """Command-line verbs, exit codes, and output plumbing."""
 
 import hashlib
+import io
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -229,3 +233,40 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             cli.main(["--help"])
         assert exc.value.code == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["layout"], ["simulate", "--mode", "TR", "--z", "2", "--hops", "40", "--trace"]],
+        ids=["layout", "simulate-trace"],
+    )
+    def test_closed_stdout_exits_quietly(self, argv, monkeypatch, capsys):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["layout"], ["simulate", "--mode", "TR", "--z", "2", "--hops", "40", "--trace"]],
+        ids=["layout", "simulate-trace"],
+    )
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_process_whose_reader_is_gone_exits_quietly(self, argv, unbuffered):
+        # with the read end closed first, every write to the pipe fails, as
+        # under `multihop layout | head -1` once head has exited; a buffered
+        # stdout fails only in the flush before exit
+        read, write = os.pipe()
+        os.close(read)
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        try:
+            proc = subprocess.run([sys.executable, "-m", "multihop"] + argv, stdout=write, stderr=subprocess.PIPE, env=env)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (1, b"")

@@ -647,6 +647,17 @@ class TestSlotRecordsOnDemand:
         assert trace.slots is first
         assert len(first) == trace.total_slots
 
+    def test_trace_text_builds_no_slot_records(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a SlotRecord was built")
+
+        monkeypatch.setattr(packetsim, "SlotRecord", refuse)
+        for (mode, nodes, z), digests in TRACE_DIGESTS.items():
+            trace = simulate(mode, nodes, z, fixed_periods(mode, nodes, z))
+            assert (_sha(trace_to_csv_text(trace)), _sha(render_trace(trace))) == digests
+        with pytest.raises(AssertionError):
+            run_nc_sim(4, 2).slots
+
 
 class TestSlotRecordProperties:
     @settings(
@@ -675,3 +686,23 @@ class TestSlotRecordProperties:
             assert all(valid(label) for label in rec.transmissions.values())
             assert all(valid(label) and n in broadcasters for n, label in rec.xors)
             assert all(valid(label) for _, _, label in rec.stored)
+
+    @settings(
+        max_examples=15,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(sim_cases(), st.data())
+    def test_a_replayed_range_matches_the_full_trace(self, case, data):
+        # the log keeps only what each slot changed, so any range is replayed from slot 1
+        trace = simulate(*case)
+        last = data.draw(st.integers(1, trace.total_slots), label="last")
+        first = data.draw(st.integers(1, last), label="first")
+        part, full = trace._records(first, last), trace.slots[first - 1 : last]
+        assert part == full
+        assert [rec.stored for rec in part] == [rec.stored for rec in full]
+        rows = render_trace(trace, first, last).splitlines()[3:]
+        full_rows = render_trace(trace).splitlines()[3:]
+        assert [row.split() for row in rows] == [row.split() for row in full_rows[first - 1 : last]]
