@@ -8,24 +8,27 @@ timeslot divides the two bottlenecks by the schedule period: once by Z when
 coded relaying moves both directions per cycle, once by 2Z when the cycle
 serves each direction in its own half.
 
-``stream_capacity`` takes a period's events straight from the schedules'
-closed forms as numpy index arrays of slot, transmitter, receiver and
-direction, with route positions mapped onto layout indices. One (slot x
-node) on-air matrix and a received-power matrix P = Pt * K * (d_ref / D)^eta
-give every event's SINR: an event's signal is P[rx, tx], and its
-interference is the sum of P[rx] over the nodes on air in its slot, its own
-transmitter masked out. This is the physical interference model of Gupta
-and Kumar (The Capacity of Wireless Networks, IEEE Trans. IT 2000). The
-interference sums are taken over blocks of events, in event order, each a
-gather of about 128 KB of P's rows, so a call's memory does not grow with
-events x nodes; each event's row and its sum are the same in any block. P is
-built in place in a copy of the layout's distance matrix D. It depends only
-on the layout and the radio, so it is built once per layout and radio,
-together with the node pairs closer than the reference distance, and reused
-read-only by every later call with that geometry object and an equal
-radio. Each direction's bottleneck is the Shannon rate of its lowest SINR.
-A report keeps its call's radio, SINRs and (stream, nodes, TR phase) per
-stream; its cached ``events`` rebuilds the event rows from those closed forms.
+``stream_capacity`` takes a period's events straight from the schedules' closed
+forms as numpy index arrays of slot, transmitter and receiver, stream by stream
+in the order they are made: each stream's forward events, then its reverse
+ones, with route positions mapped onto layout indices. One (slot x node)
+on-air matrix and a received-power matrix P = Pt * K * (d_ref / D)^eta give
+every event's SINR: an event's signal is P[rx, tx], and its interference is
+the sum of P[rx] over the nodes on air in its slot, its own transmitter
+masked out. This is the physical interference model of Gupta and Kumar (The
+Capacity of Wireless Networks, IEEE Trans. IT 2000). The interference sums
+are taken over blocks of events, each a gather of about 128 KB of P's rows,
+so a call's memory does not grow with events x nodes; each event's row and
+its sum are the same in any block and any order. P is built in place in a
+copy of the layout's distance matrix D. It depends only on the layout and
+the radio, so it is built once per layout and radio, together with the node
+pairs closer than the reference distance, and reused read-only by every
+later call with that geometry object and an equal radio. Each direction's
+bottleneck is the Shannon rate of the lowest SINR of its run of events. A
+report keeps its call's radio, SINRs and (stream, nodes, TR phase) per
+stream; its cached ``events`` rebuilds the event rows from those closed
+forms and sorts them, with their SINRs, into ``reception_events`` order, as
+each error message picks its first offending event in that order.
 
 The scalar reference the array path is tested against enumerates rows from
 the (direction, positions on air) slots of ``build_schedules``' schedules in
@@ -82,18 +85,20 @@ class StreamCapacityReport:
     capacity_bps: float
     # the call's radio, its (stream, nodes, opposite) per stream, which with
     # mode and z rebuilds every event, and the SINRs of all its events in
-    # event order as bytes: they compare and hash as values
+    # the order they are made, as bytes: they compare and hash as values
     _events_of_call: tuple = field(repr=False)
 
     @cached_property
     def events(self):
         """(ReceptionEvent, sinr, rate_bps) triples in ``reception_events`` order,
-        built on first read."""
+        built on first read by sorting the call's events and their SINRs."""
         radio, streams, sinrs = self._events_of_call
-        rows = list(zip(*(a.tolist() for a in _event_columns(self.mode, self.z, streams))))
+        columns = _event_columns(self.mode, self.z, streams)
+        order = np.lexsort(columns[::-1])  # (slot, stream, transmitter, receiver)
+        rows = list(zip(*(c[order].tolist() for c in columns)))
         return tuple(
             (ev, v, shannon_rate(radio, v))
-            for ev, v in zip(_events_from_rows(rows), np.frombuffer(sinrs).tolist())
+            for ev, v in zip(_events_from_rows(rows), np.frombuffer(sinrs)[order].tolist())
             if ev.stream == self.stream
         )
 
@@ -201,15 +206,33 @@ def _period_events(mode, z, nodes, opposite):
 
 
 def _event_columns(mode, z, streams):
-    """Slot, stream, transmitter and receiver route positions of a call's events
-    in ``reception_events`` order, from (stream, nodes, opposite) per stream."""
+    """Slot, stream, transmitter and receiver route positions of a call's events,
+    stream by stream in ``_period_events`` order, from (stream, nodes, opposite)
+    per stream."""
     parts = []
     for stream, nodes, opposite in streams:
         slot, tx, rx = _period_events(mode, z, nodes, opposite)
         parts.append((slot, np.full(len(tx), stream), tx, rx))
-    slot, stream_of, tx, rx = (np.concatenate(a) for a in zip(*parts))
-    order = np.lexsort((rx, tx, stream_of, slot))
-    return slot[order], stream_of[order], tx[order], rx[order]
+    return tuple(np.concatenate(a) for a in zip(*parts))
+
+
+def _first(hits, columns):
+    """The index among ``hits`` of the event ``reception_events`` lists first."""
+    slot, stream, tx, rx = (c[hits] for c in columns)
+    return hits[np.lexsort((rx, tx, stream, slot))[0]]
+
+
+def _too_close(geometry, columns, tx_at, rx_at, on_air, close):
+    """The scalar path's error: the first event in ``reception_events`` order
+    that hears a node on air closer than the reference, at its own link if that
+    is too close, else at its first such interferer in (stream, route position) order."""
+    slot, stream, tx, _ = columns
+    hits = [(close[r] & on_air[s]).any() for s, r in zip(slot, rx_at)]  # a row at a time, no events x nodes array
+    e = _first(np.flatnonzero(hits), columns)
+    peers = np.flatnonzero(slot == slot[e])  # the slot's events: their transmitters are on air
+    j = next(j for j in [e, *peers[np.lexsort((tx[peers], stream[peers]))]] if close[rx_at[e], tx_at[j]])
+    distance = geometry.distance_matrix[rx_at[e], tx_at[j]]
+    return ValueError("distance %.3f m below the %.1f m reference" % (distance, REFERENCE_DISTANCE_M))
 
 
 _BLOCK_ENTRIES = 16_384  # float64 entries (128 KB) of power rows gathered per block of events
@@ -238,65 +261,68 @@ def _received_power(geometry, radio):
 def stream_capacity(geometry, routes, radio, mode, z, tr_phase="same"):
     """Capacity report per stream; interference crosses streams either way.
 
-    Events come from the schedules' closed forms as index arrays, in the
-    order ``reception_events`` lists them (slot, stream, transmitter,
-    receiver); no schedule or event object is built unless ``events`` is read.
+    Events come from the schedules' closed forms as index arrays, stream by
+    stream in the order ``_period_events`` makes them: each stream's forward
+    events, then its reverse ones, so each direction's bottleneck is the
+    minimum of one contiguous run. Only the ``events`` view and the error
+    messages sort them into ``reception_events`` order; no schedule or event
+    object is built unless ``events`` is read.
     """
     if tr_phase not in TR_PHASES:
         raise ValueError("tr_phase must be one of %r, got %r" % (TR_PHASES, tr_phase))
     if not routes:
         raise ValueError("no routes to schedule")
-    streams = []  # tuple(list), not tuple(generator), which moved tracemalloc peaks via tuple free lists
-    at = np.zeros((max(routes) + 1, geometry.config.nodes_per_stream + 1), dtype=np.intp)
+    streams, made, parts, starts = [], {}, [], [0]  # lists, not generators or np.cumsum: both moved tracemalloc peaks
     for stream, route in sorted(routes.items()):
         ScheduleConfig(nodes=route.num_nodes, z=z, mode=mode)  # validates nodes, z and mode
-        streams.append((stream, route.num_nodes, mode == MODE_TR and tr_phase == "opposite" and stream == 2))
-        at[stream, 1 : route.num_nodes + 1] = geometry.route_indices(route)  # (stream, position) -> matrix index
-    slot, stream_of, tx, rx = _event_columns(mode, z, streams)
-    tx_at, rx_at = at[stream_of, tx], at[stream_of, rx]
-    forward = rx > tx
+        key = (route.num_nodes, mode == MODE_TR and tr_phase == "opposite" and stream == 2)
+        streams.append((stream, *key))
+        if key not in made:  # streams of one length and phase share their events
+            made[key] = _period_events(mode, z, *key)
+        slot, tx, rx = made[key]
+        at = geometry.route_indices(route)  # route position - 1 -> matrix index
+        parts.append((slot, at[tx - 1], at[rx - 1]))
+        starts += [starts[-1] + len(tx) // 2, starts[-1] + len(tx)]  # its reverse run, the next stream
+    slot, tx_at, rx_at = (np.concatenate(a) for a in zip(*parts))
+    del parts, made, tx, rx  # the per-stream arrays, before the power rows are gathered
 
     power, close = _received_power(geometry, radio)
     on_air = np.zeros((slot.max() + 1, len(power)), dtype=bool)  # row = slot
     on_air[slot, tx_at] = True
-    clash = np.flatnonzero(on_air[slot, rx_at])
-    if clash.size:
-        e = clash[0]
-        raise ValueError(
-            "slot %d schedules node %d to receive from node %d while transmitting" % (slot[e], rx[e], tx[e])
-        )
+    clash = on_air[slot, rx_at]
+    if clash.any():
+        columns = _event_columns(mode, z, streams)
+        s, _, t, r = np.stack(columns)[:, _first(np.flatnonzero(clash), columns)]
+        raise ValueError("slot %d schedules node %d to receive from node %d while transmitting" % (s, r, t))
     heard = np.empty(len(rx_at))  # interference per event, summed one block of events at a time
     step = max(1, _BLOCK_ENTRIES // len(power))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # non-finite SINRs are raised below
         for s in (slice(i, i + step) for i in range(0, len(rx_at), step)):
             listening = on_air[slot[s]]  # (event, node): node on air in the event's slot
-            if close is not None and (too_close := close[rx_at[s]] & listening).any():
-                e, j = np.argwhere(too_close)[0]
-                raise ValueError(
-                    "distance %.3f m below the %.1f m reference"
-                    % (geometry.distance_matrix[rx_at[s.start + e], j], REFERENCE_DISTANCE_M)
-                )
+            if close is not None and (close[rx_at[s]] & listening).any():
+                raise _too_close(geometry, _event_columns(mode, z, streams), tx_at, rx_at, on_air, close)
             block = power[rx_at[s]]
             block *= listening
             block[np.arange(len(block)), tx_at[s]] = 0.0  # masked, not subtracted: keeps small interference exact
             heard[s] = block.sum(axis=1)
             del block  # before the next block is gathered
         sinrs = power[rx_at, tx_at] / (heard + noise_power(radio))
-    bad = np.flatnonzero(~np.isfinite(sinrs))
-    if bad.size:
-        e = bad[0]
+    finite = np.isfinite(sinrs)
+    if not finite.all():
+        columns = _event_columns(mode, z, streams)
+        e = _first(np.flatnonzero(~finite), columns)
+        _, k, t, r = (c[e] for c in columns)
         raise ValueError(
             "stream %d %s SINR is %r: the radio's powers overflow float64"
-            % (stream_of[e], FORWARD if forward[e] else REVERSE, float(sinrs[e]))
+            % (k, FORWARD if r > t else REVERSE, float(sinrs[e]))
         )
 
     events_of_call = (radio, tuple(streams), sinrs.tobytes())
+    worst = np.minimum.reduceat(sinrs, starts[:-1]).tolist()  # forward and reverse per stream
     reports = {}
-    for stream in sorted(routes):
-        mine = stream_of == stream
+    for (stream, _, _), lowest in zip(streams, zip(worst[::2], worst[1::2])):
         # log2 is monotone, so the rate of the lowest SINR is the lowest rate
-        worst = [sinrs[mine & (forward == way)] for way in (True, False)]
-        f, r = (shannon_rate(radio, float(w.min())) for w in worst)
+        f, r = (shannon_rate(radio, w) for w in lowest)
         capacity = capacity_per_slot(mode, z, f, r)
         if not math.isfinite(capacity):
             raise ValueError("stream %d capacity is %r bps: the rates overflow float64" % (stream, capacity))
@@ -310,4 +336,3 @@ def stream_capacity(geometry, routes, radio, mode, z, tr_phase="same"):
             _events_of_call=events_of_call,
         )
     return reports
-

@@ -310,3 +310,24 @@ def test_stress_capacities_are_pinned():
                         values = (rep.forward_bottleneck_bps, rep.reverse_bottleneck_bps, rep.capacity_bps)
                         digest.update(repr(values).encode())
     assert digest.hexdigest() == STRESS_PARITY_SHA256
+
+
+# sha256 over repr(list of every event's SINR in ``events`` order) of every
+# report of the grid above, taken while the kernel still sorted its events
+EVENT_SINR_SHA256 = "de86777b3555d5f0a748d569c823c3a5d42a17593ba375f5ab80e80ab68b57fd"
+
+
+def test_stress_event_sinrs_are_pinned():
+    """The same grid: every event's SINR, in ``reception_events`` order, stays
+    bit-identical, so the ``events`` view pairs each event with its own SINR."""
+    geo = NodeGeometry(LayoutConfig(nodes_per_stream=100, num_streams=2))  # no size warning
+    routes = {s: stream_route(geo, s, 1, 100) for s in (1, 2)}
+    digest = hashlib.sha256()
+    for radio in (RadioConfig(), RadioConfig(tx_gain=ALT_TX_GAIN, rx_gain=ALT_RX_GAIN, noise_figure_db=ALT_NOISE_FIGURE_DB)):
+        for mode in (MODE_TR, MODE_NC):
+            for tr_phase in ("same", "opposite"):
+                for z in range(2, 17):
+                    reports = stream_capacity(geo, routes, radio, mode, z, tr_phase=tr_phase)
+                    for stream in sorted(reports):
+                        digest.update(repr([s for _, s, _ in reports[stream].events]).encode())
+    assert digest.hexdigest() == EVENT_SINR_SHA256

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from multihop import capacity
 from multihop.capacity import build_schedules, event_sinr, reception_events, stream_capacity
-from multihop.layout import LayoutConfig, build_layout, stream_route
+from multihop.layout import LayoutConfig, NodeGeometry, build_layout, stream_route
 from multihop.radio import RadioConfig, shannon_rate
 from multihop.schedule import MODE_NC, MODE_TR
 
@@ -43,13 +43,14 @@ radios = st.builds(
 
 
 @st.composite
-def scenarios(draw, hop_length_m=100.0, row_separation_m=300.0):
-    """(geometry, routes, mode, z, tr_phase) over 1-2 rows of 3..40 nodes.
+def scenarios(draw, hop_length_m=100.0, row_separation_m=300.0, max_nodes=40, max_z=40):
+    """(geometry, routes, mode, z, tr_phase) over 1-2 rows of 3..max_nodes nodes,
+    Z from 2 up to max_z or the row's length.
 
     Each row's route is a random run of at least three nodes, in either
     direction, so route lengths differ and routes may run backwards.
     """
-    nodes = draw(st.integers(3, 40))
+    nodes = draw(st.integers(3, max_nodes))
     streams = draw(st.integers(1, 2))
     layout = LayoutConfig(
         nodes_per_stream=nodes,
@@ -68,7 +69,7 @@ def scenarios(draw, hop_length_m=100.0, row_separation_m=300.0):
         source, destination = (high, low) if draw(st.booleans()) else (low, high)
         routes[stream] = stream_route(geometry, stream, source, destination)
     mode = draw(st.sampled_from([MODE_TR, MODE_NC]))
-    z = draw(st.integers(2, nodes))
+    z = draw(st.integers(2, min(nodes, max_z)))
     tr_phase = draw(st.sampled_from(["same", "opposite"]))
     return geometry, routes, mode, z, tr_phase
 
@@ -147,3 +148,76 @@ def check_close_rows(scenario, radio):
             stream_capacity(geometry, routes, radio, mode, z, tr_phase=tr_phase)
     else:
         stream_capacity(geometry, routes, radio, mode, z, tr_phase=tr_phase)
+
+
+near_reference = st.tuples(st.sampled_from([0.3, 0.45, 0.8, 1.5]), st.sampled_from([0.5, 0.9, 2.0])).flatmap(
+    lambda spacing: scenarios(hop_length_m=spacing[0], row_separation_m=spacing[1], max_nodes=9, max_z=4)
+)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=100)
+@given(scenario=near_reference, radio=radios)
+def test_reference_error_names_the_scalar_paths_pair(scenario, radio):
+    check_reference_message(scenario, radio)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=100)
+@given(scenario=near_reference, radio=radios)
+def test_reference_error_names_the_scalar_paths_pair_in_3_event_blocks(scenario, radio):
+    with event_blocks(3, scenario[0]):  # every scenario has at least four events
+        check_reference_message(scenario, radio)
+
+
+def check_reference_message(scenario, radio):
+    """Hops and rows near the 1 m reference: the matrix pass fails exactly
+    when the scalar path does, naming the same distance. The scalar path
+    meets the first event in ``reception_events`` order that hears a node too
+    close, and checks its own link before its interferers in (stream, route
+    position) order."""
+    geometry, routes, mode, z, tr_phase = scenario
+    events = reception_events(build_schedules(routes, mode, z, tr_phase=tr_phase), routes)
+    try:
+        for ev in events:
+            event_sinr(ev, geometry, routes, radio)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            stream_capacity(geometry, routes, radio, mode, z, tr_phase=tr_phase)
+        assert str(got.value) == str(exc)
+    else:
+        stream_capacity(geometry, routes, radio, mode, z, tr_phase=tr_phase)
+
+
+@st.composite
+def one_row_routes(draw):
+    """(geometry, routes, z): two routes of drawn ends on one row of 3..40 nodes."""
+    nodes = draw(st.integers(3, 40))
+    geometry = NodeGeometry(LayoutConfig(nodes_per_stream=nodes, num_streams=1))  # no size warning
+    routes = {}
+    for stream in (1, 2):
+        source, destination = draw(st.lists(st.integers(1, nodes), min_size=2, max_size=2, unique=True))
+        if abs(source - destination) < 2:  # at least three nodes
+            destination = source + 2 if source + 2 <= nodes else source - 2
+        routes[stream] = stream_route(geometry, 1, source, destination)
+    return geometry, routes, draw(st.integers(2, nodes))
+
+
+@PROPERTY_SETTINGS
+@given(case=one_row_routes())
+def test_clash_names_the_first_clashing_event(case):
+    """Two routes on one row in the opposite TR phase: the error names the
+    first event in ``reception_events`` order whose receiver's node is on air."""
+    geometry, routes, z = case
+    schedules = build_schedules(routes, MODE_TR, z, tr_phase="opposite")
+    clashes = [
+        ev
+        for ev in reception_events(schedules, routes)
+        if routes[ev.stream].layout_node(ev.receiver) in {routes[k].layout_node(n) for k, n in ev.on_air}
+    ]
+    if not clashes:
+        assert stream_capacity(geometry, routes, RadioConfig(), MODE_TR, z, tr_phase="opposite")
+        return
+    ev = clashes[0]
+    want = "slot %d schedules node %d to receive from node %d while transmitting"
+    with pytest.raises(ValueError) as got:
+        stream_capacity(geometry, routes, RadioConfig(), MODE_TR, z, tr_phase="opposite")
+    assert str(got.value) == want % (ev.slot, ev.receiver, ev.transmitter)
