@@ -5,19 +5,19 @@ reverse half of Z slots each. The coded mode serves both directions
 from a single set per slot, so its period is Z, not 2Z.
 """
 
-from multihop import forward_set, reverse_set, nc_transmit_set, tr_schedule, nc_schedule
+from multihop import tr_schedule, nc_schedule
 
 
 def show(nodes, z):
     print("line of %d nodes, spatial reuse Z = %d" % (nodes, z))
-    print("  traditional, period %d" % (2 * z))
-    for s in range(1, z + 1):
-        print("    slot %d (forward): %s" % (s, sorted(forward_set(nodes, z, s))))
-    for s in range(1, z + 1):
-        print("    slot %d (reverse): %s" % (z + s, sorted(reverse_set(nodes, z, s))))
-    print("  coded, period %d" % z)
-    for s in range(1, z + 1):
-        print("    slot %d: %s" % (s, sorted(nc_transmit_set(nodes, z, s))))
+    tr = tr_schedule(nodes, z)
+    print("  traditional, period %d" % tr.period)
+    for s, (direction, on_air) in enumerate(tr.sets, 1):
+        print("    slot %d (%s): %s" % (s, direction, sorted(on_air)))
+    nc = nc_schedule(nodes, z)
+    print("  coded, period %d" % nc.period)
+    for s in range(1, nc.period + 1):
+        print("    slot %d: %s" % (s, sorted(nc.slot(s)[1])))
     print()
 
 
@@ -41,7 +41,8 @@ print("  period %d, slot 1 transmitters: %s"
 
 # Co-transmitters are always Z apart, which is what keeps the
 # interference geometry identical from period to period.
+sched = nc_schedule(10, 3)
 for s in range(1, 4):
-    nodes = sorted(nc_transmit_set(10, 3, s))
+    nodes = sorted(sched.slot(s)[1])
     gaps = [b - a for a, b in zip(nodes, nodes[1:])]
     print("  10 nodes, Z = 3, slot %d: %s gaps %s" % (s, nodes, gaps))

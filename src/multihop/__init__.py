@@ -7,14 +7,7 @@ model with a packet-level simulation of the same schedules.
 
 from multihop.layout import LayoutConfig, NodeGeometry, Route, build_layout, stream_route
 from multihop.radio import RadioConfig, path_constant, received_power, noise_power, sinr, shannon_rate
-from multihop.schedule import (
-    Schedule,
-    forward_set,
-    reverse_set,
-    nc_transmit_set,
-    tr_schedule,
-    nc_schedule,
-)
+from multihop.schedule import Schedule, tr_schedule, nc_schedule
 from multihop.capacity import (
     ReceptionEvent,
     StreamCapacityReport,

@@ -9,10 +9,11 @@ coded relaying moves both directions per cycle, once by 2Z when the cycle
 serves each direction in its own half.
 
 ``stream_capacity`` takes a period's events straight from the schedules' closed
-forms as numpy index arrays of slot, transmitter and receiver, stream by stream
-in the order they are made: each stream's forward events, then its reverse
-ones, with route positions mapped onto layout indices. One (slot x node)
-on-air matrix and a received-power matrix P = Pt * K * (d_ref / D)^eta give
+forms, ``period_events``, as numpy index arrays of slot, transmitter and
+receiver, stream by stream in the order they are made: each stream's forward
+events, then its reverse ones, with route positions mapped onto layout
+indices. One (slot x node) on-air matrix and a received-power
+matrix P = Pt * K * (d_ref / D)^eta give
 every event's SINR: an event's signal is P[rx, tx], and its interference is
 the sum of P[rx] over the nodes on air in its slot, its own transmitter
 masked out. This is the physical interference model of Gupta and Kumar (The
@@ -35,6 +36,8 @@ the (direction, positions on air) slots of ``build_schedules``' schedules in
 ``reception_events``, each position addressing ``receivers``, and computes each
 SINR with ``event_sinr``'s link-budget calls. It and the ``events`` view feed
 (slot, stream, transmitter, receiver) rows to one ``ReceptionEvent`` assembler.
+Its schedules come from ``period_events`` too, so it checks the kernel; the
+independent slot rules, as set forms, are in ``tests/reference.py``.
 """
 
 import math
@@ -53,6 +56,7 @@ from multihop.schedule import (
     ScheduleConfig,
     Schedule,
     nc_schedule,
+    period_events,
     receivers,
     tr_schedule,
 )
@@ -186,32 +190,13 @@ def capacity_per_slot(mode, z, forward_bps, reverse_bps):
     raise ValueError("unknown mode %r" % (mode,))
 
 
-def _period_events(mode, z, nodes, opposite):
-    """Slot, transmitter and receiver route positions of one stream's events.
-
-    The closed forms of the schedules: in TR node i forwards in slot
-    (i-1) % Z + 1 and node i >= 2 sends reverse in slot Z + (N-i) % Z + 1;
-    the opposite phase shifts every slot by Z. In NC node i broadcasts in
-    slot (i-1) % Z + 1 to i-1 and i+1 inside the route.
-    """
-    low, high = np.arange(1, nodes), np.arange(2, nodes + 1)  # senders toward the high / low end
-    tx = np.concatenate([low, high])
-    rx = np.concatenate([low + 1, high - 1])
-    if mode == MODE_NC:
-        return (tx - 1) % z + 1, tx, rx
-    slot = np.concatenate([(low - 1) % z + 1, z + (nodes - high) % z + 1])
-    if opposite:
-        slot = (slot + z - 1) % (2 * z) + 1
-    return slot, tx, rx
-
-
 def _event_columns(mode, z, streams):
     """Slot, stream, transmitter and receiver route positions of a call's events,
-    stream by stream in ``_period_events`` order, from (stream, nodes, opposite)
+    stream by stream in ``period_events`` order, from (stream, nodes, opposite)
     per stream."""
     parts = []
     for stream, nodes, opposite in streams:
-        slot, tx, rx = _period_events(mode, z, nodes, opposite)
+        slot, tx, rx = period_events(mode, z, nodes, opposite)
         parts.append((slot, np.full(len(tx), stream), tx, rx))
     return tuple(np.concatenate(a) for a in zip(*parts))
 
@@ -262,7 +247,7 @@ def stream_capacity(geometry, routes, radio, mode, z, tr_phase="same"):
     """Capacity report per stream; interference crosses streams either way.
 
     Events come from the schedules' closed forms as index arrays, stream by
-    stream in the order ``_period_events`` makes them: each stream's forward
+    stream in the order ``period_events`` makes them: each stream's forward
     events, then its reverse ones, so each direction's bottleneck is the
     minimum of one contiguous run. Only the ``events`` view and the error
     messages sort them into ``reception_events`` order; no schedule or event
@@ -278,7 +263,7 @@ def stream_capacity(geometry, routes, radio, mode, z, tr_phase="same"):
         key = (route.num_nodes, mode == MODE_TR and tr_phase == "opposite" and stream == 2)
         streams.append((stream, *key))
         if key not in made:  # streams of one length and phase share their events
-            made[key] = _period_events(mode, z, *key)
+            made[key] = period_events(mode, z, *key)
         slot, tx, rx = made[key]
         at = geometry.route_indices(route)  # route position - 1 -> matrix index
         parts.append((slot, at[tx - 1], at[rx - 1]))

@@ -7,9 +7,16 @@ the forward progression alone, every node broadcasting to both neighbours, so
 its period is Z. A slot's transmit set is one progression of nodes Z apart,
 all sending one way; ``Schedule.sets[i]`` is slot i + 1's (direction, frozenset
 of nodes on air). Both functions first validate a ``ScheduleConfig`` of their mode.
+
+``period_events``, a stream's (slot, transmitter, receiver) columns, is the
+one encoding of the slot rules: ``stream_capacity`` reads the columns, and the
+builders group them by slot, each slot's direction set by its half (so empty
+slots have one). ``tests/reference.py`` holds the independent set forms.
 """
 
 from dataclasses import dataclass
+
+import numpy as np
 
 FORWARD = "forward"
 REVERSE = "reverse"
@@ -64,48 +71,40 @@ class Schedule:
         return self.sets[(global_slot - 1) % self.period]
 
 
-def forward_set(nodes, z, slot):
-    """Nodes sending toward the high end in forward slot 1..z.
+def period_events(mode, z, nodes, opposite=False):
+    """Slot, transmitter and receiver route positions of one stream's events.
 
-    Node i transmits in slot i and again every z positions up the line; the
-    last node never appears because it has nothing to forward.
+    The closed forms of the schedules: in TR node i forwards in slot
+    (i-1) % Z + 1 and node i >= 2 sends reverse in slot Z + (N-i) % Z + 1;
+    the opposite phase shifts every slot by Z. In NC node i broadcasts in
+    slot (i-1) % Z + 1 to i-1 and i+1 inside the route.
     """
-    _check_slot(nodes, z, slot)
-    return frozenset(range(slot, nodes, z))
+    low, high = np.arange(1, nodes), np.arange(2, nodes + 1)  # senders toward the high / low end
+    tx = np.concatenate([low, high])
+    rx = np.concatenate([low + 1, high - 1])
+    if mode == MODE_NC:
+        return (tx - 1) % z + 1, tx, rx
+    slot = np.concatenate([(low - 1) % z + 1, z + (nodes - high) % z + 1])
+    if opposite:
+        slot = (slot + z - 1) % (2 * z) + 1
+    return slot, tx, rx
 
 
-def reverse_set(nodes, z, slot):
-    """Nodes sending toward the low end in reverse slot 1..z, mirror of forward."""
-    _check_slot(nodes, z, slot)
-    return frozenset(range(nodes + 1 - slot, 1, -z))
-
-
-def nc_transmit_set(nodes, z, slot):
-    """Broadcast set for coded relaying: the forward progression with the far
-    source included, so both ends inject every z slots.
-
-    The far-end node N_o lands in the slot its residue i = ((N_o-1) mod z)+1
-    assigns it; transmitters stay z apart, which keeps every addressed
-    neighbour free to listen.
-    """
-    _check_slot(nodes, z, slot)
-    return frozenset(range(slot, nodes + 1, z))
-
-
-def _check_slot(nodes, z, slot):
-    ScheduleConfig(nodes, z)  # validates nodes and z
-    if not (1 <= slot <= z):
-        raise ValueError("slot %r outside period 1..%d" % (slot, z))
+def _grouped(config, directions):
+    """The schedule whose slot s sends in ``directions[s - 1]`` with the
+    transmitters ``period_events`` puts in slot s; a slot may be empty."""
+    slot, tx, _ = period_events(config.mode, config.z, config.nodes)
+    on_air = [[] for _ in directions]
+    for s, t in zip(slot.tolist(), tx.tolist()):
+        on_air[s - 1].append(t)
+    return Schedule(config=config, sets=tuple([(d, frozenset(n)) for d, n in zip(directions, on_air)]))
 
 
 def tr_schedule(nodes, z):
     """Store-and-forward schedule on a line of ``nodes``: z forward slots then z reverse slots."""
-    config = ScheduleConfig(nodes=nodes, z=z, mode=MODE_TR)
-    halves = ((FORWARD, forward_set), (REVERSE, reverse_set))
-    return Schedule(config=config, sets=tuple([(d, form(nodes, z, s)) for d, form in halves for s in range(1, z + 1)]))
+    return _grouped(ScheduleConfig(nodes=nodes, z=z, mode=MODE_TR), [FORWARD] * z + [REVERSE] * z)
 
 
 def nc_schedule(nodes, z):
     """Coded-relaying schedule on a line of ``nodes``: every node broadcasts in its progression slot."""
-    config = ScheduleConfig(nodes=nodes, z=z, mode=MODE_NC)
-    return Schedule(config=config, sets=tuple([(BROADCAST, nc_transmit_set(nodes, z, s)) for s in range(1, z + 1)]))
+    return _grouped(ScheduleConfig(nodes=nodes, z=z, mode=MODE_NC), [BROADCAST] * z)

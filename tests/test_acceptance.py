@@ -45,14 +45,8 @@ from multihop.packetsim import (
     tr_latency,
 )
 from multihop.radio import RadioConfig, path_constant, received_power
-from multihop.schedule import (
-    FORWARD,
-    MODE_NC,
-    MODE_TR,
-    REVERSE,
-    forward_set,
-    reverse_set,
-)
+from multihop.schedule import FORWARD, MODE_NC, MODE_TR, REVERSE
+from reference import forward_set, reverse_set
 
 LATENCY_GRID = [(nodes, z) for nodes in range(3, 8) for z in range(2, 7)]
 

@@ -29,10 +29,12 @@ from multihop.schedule import (
     MODE_TR,
     REVERSE,
     nc_schedule,
+    period_events,
     receivers,
     tr_schedule,
 )
 from test_capacity_kernel import PROPERTY_SETTINGS, REL, close, event_blocks, radios, scenarios
+from test_schedule import periods
 
 BOTTLENECKS = ("forward_bottleneck_bps", "reverse_bottleneck_bps", "capacity_bps")
 
@@ -53,12 +55,6 @@ def test_events_view_matches_the_scalar_reference(scenario, radio):
             assert close(s, sinr) and close(r, shannon_rate(radio, sinr)), (ev, s, sinr)
         for way, bottleneck in ((FORWARD, rep.forward_bottleneck_bps), (REVERSE, rep.reverse_bottleneck_bps)):
             assert bottleneck == min(r for ev, _, r in got if ev.direction == way)
-
-
-@st.composite
-def periods(draw):
-    nodes = draw(st.integers(3, 64))
-    return nodes, draw(st.integers(2, 3 * nodes))
 
 
 @settings(PROPERTY_SETTINGS, max_examples=200)
@@ -199,20 +195,29 @@ def test_block_size_leaves_reports_bit_identical(mode, tr_phase):
 
 @pytest.mark.parametrize("events", BLOCK_EVENTS)
 def test_close_rows_fail_at_the_first_offender_in_a_later_block(events):
-    """Rows 0.5 m apart, TR, Z = 5, opposite phase: event 160 of 396 is the
-    first whose receiver hears the other row's opposite node on air, which
-    lies past the first block at every block size tried."""
-    geometry = NodeGeometry(LayoutConfig(nodes_per_stream=100, num_streams=2, row_separation_m=0.5))
-    routes = {s: stream_route(geometry, s, 1, 100) for s in (1, 2)}
+    """Rows 0.5 m apart, TR, Z = 75, opposite phase: in the order the kernel
+    makes events, event 74 of 596 is the first whose receiver hears the other
+    row's opposite node on air. That lies past the first block at every block
+    size tried, the default's 54 events included."""
+    nodes, z = 150, 75
+    geometry = NodeGeometry(LayoutConfig(nodes_per_stream=nodes, num_streams=2, row_separation_m=0.5))
+    routes = {s: stream_route(geometry, s, 1, nodes) for s in (1, 2)}
     radio = RadioConfig()
-    for first, ev in enumerate(reception_events(build_schedules(routes, MODE_TR, 5, tr_phase="opposite"), routes)):
+    failing = {}  # (slot, stream, transmitter, receiver) -> the scalar path's error, in reception_events order
+    for ev in reception_events(build_schedules(routes, MODE_TR, z, tr_phase="opposite"), routes):
         try:
             event_sinr(ev, geometry, routes, radio)
         except ValueError as exc:
-            message = str(exc)
-            break
-    assert first == 160 and first >= capacity._BLOCK_ENTRIES // len(geometry.nodes())
+            failing[(ev.slot, ev.stream, ev.transmitter, ev.receiver)] = str(exc)
+    made = [  # the kernel's order: stream 1's events, then stream 2's in the opposite phase
+        (s, stream, t, r)
+        for stream, opposite in ((1, False), (2, True))
+        for s, t, r in zip(*(c.tolist() for c in period_events(MODE_TR, z, nodes, opposite)))
+    ]
+    first = next(i for i, row in enumerate(made) if row in failing)
+    assert first == 74 and first >= (events or capacity._BLOCK_ENTRIES // len(geometry.nodes()))
+    message = next(iter(failing.values()))  # the first offender in reception_events order
     assert message == "distance 0.500 m below the 1.0 m reference"
     with blocks_of(events, geometry), pytest.raises(ValueError) as exc:
-        stream_capacity(geometry, routes, radio, MODE_TR, 5, tr_phase="opposite")
+        stream_capacity(geometry, routes, radio, MODE_TR, z, tr_phase="opposite")
     assert str(exc.value) == message

@@ -1,6 +1,16 @@
-"""Transmit-set construction and schedule properties."""
+"""Transmit-set construction and schedule properties.
+
+The set forms come from ``tests/reference.py``, the independent encoding of
+the slot rules that ``period_events`` and the schedules built from it are
+checked against.
+"""
+
+import ast
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from multihop.schedule import (
     BROADCAST,
@@ -9,13 +19,12 @@ from multihop.schedule import (
     MODE_TR,
     REVERSE,
     ScheduleConfig,
-    forward_set,
     nc_schedule,
-    nc_transmit_set,
+    period_events,
     receivers,
-    reverse_set,
     tr_schedule,
 )
+from reference import forward_set, nc_transmit_set, reverse_set
 
 GRID = [(nodes, z) for nodes in range(3, 11) for z in range(2, 9)]
 
@@ -198,3 +207,54 @@ class TestSchedules:
         assert receivers(BROADCAST, 5, 5) == (4,)
         assert 3 in sched.sets[2][1]
         assert receivers(BROADCAST, 3, 5) == (2, 4)
+
+
+def reference_sets(mode, nodes, z):
+    """(direction, frozenset of nodes on air) per slot of a mode's period, from the set forms."""
+    if mode == MODE_NC:
+        return [(BROADCAST, nc_transmit_set(nodes, z, s)) for s in range(1, z + 1)]
+    halves = ((FORWARD, forward_set), (REVERSE, reverse_set))
+    return [(d, form(nodes, z, s)) for d, form in halves for s in range(1, z + 1)]
+
+
+@st.composite
+def periods(draw):
+    nodes = draw(st.integers(3, 64))
+    return nodes, draw(st.integers(2, 3 * nodes))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(period=periods())
+@example(period=(3, 2))
+@example(period=(4, 5))  # TR forward slots 4 and 5 and reverse slot 5 are empty
+@example(period=(64, 192))
+def test_period_events_follow_the_reference_set_forms(period):
+    """For N 3..64 and Z 2..3N, in both modes and both TR phases, the columns
+    list exactly the events of the reference's slots, each on-air node sending
+    to every receiver its direction addresses. So grouped by slot they are the
+    set forms (in the opposite phase, the set forms rotated by Z), and each
+    receiver is one its transmitter addresses. The builders' schedules are the
+    reference's, the directions of empty slots included."""
+    nodes, z = period
+    for mode, opposite in ((MODE_TR, False), (MODE_TR, True), (MODE_NC, False)):
+        slots = reference_sets(mode, nodes, z)
+        if opposite:
+            slots = slots[z:] + slots[:z]
+        want = [(s, t, r) for s, (d, on_air) in enumerate(slots, 1) for t in on_air for r in receivers(d, t, nodes)]
+        got = list(zip(*(c.tolist() for c in period_events(mode, z, nodes, opposite))))
+        assert sorted(got) == sorted(want), (mode, opposite)
+    assert tr_schedule(nodes, z).sets == tuple(reference_sets(MODE_TR, nodes, z))
+    assert nc_schedule(nodes, z).sets == tuple(reference_sets(MODE_NC, nodes, z))
+
+
+def test_reference_imports_nothing_from_multihop_but_schedule_config():
+    """The oracle stays independent of the program's slot rules: it cannot
+    import ``period_events`` or a schedule builder and call it a reference."""
+    tree = ast.parse((Path(__file__).resolve().parent / "reference.py").read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.name for a in node.names if a.name.split(".")[0] == "multihop"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "multihop":
+            imported += [a.name for a in node.names]
+    assert imported == ["ScheduleConfig"]
