@@ -31,12 +31,9 @@ stream; its cached ``events`` rebuilds the event rows from those closed
 forms and sorts them, with their SINRs, into ``reception_events`` order, as
 each error message picks its first offending event in that order.
 
-The scalar reference the array path is tested against enumerates rows from
-the (direction, positions on air) slots of ``build_schedules``' schedules in
-``reception_events``, each position addressing ``receivers``, and computes each
-SINR with ``event_sinr``'s link-budget calls. It and the ``events`` view feed
-(slot, stream, transmitter, receiver) rows to one ``ReceptionEvent`` assembler.
-Its schedules come from ``period_events`` too, so it checks the kernel; the
+The scalar reference the array path is tested against is ``reception_events``,
+which reads the same sorted rows as the ``events`` view, and ``event_sinr``'s
+link-budget calls on each event. Both rest on ``period_events``; the
 independent slot rules, as set forms, are in ``tests/reference.py``.
 """
 
@@ -54,10 +51,8 @@ from multihop.schedule import (
     REVERSE,
     TR_PHASES,
     ScheduleConfig,
-    Schedule,
-    nc_schedule,
+    nc_schedule,  # with tr_schedule, unused here: perfbench/tracer.py wraps both at this module
     period_events,
-    receivers,
     tr_schedule,
 )
 
@@ -97,12 +92,10 @@ class StreamCapacityReport:
         """(ReceptionEvent, sinr, rate_bps) triples in ``reception_events`` order,
         built on first read by sorting the call's events and their SINRs."""
         radio, streams, sinrs = self._events_of_call
-        columns = _event_columns(self.mode, self.z, streams)
-        order = np.lexsort(columns[::-1])  # (slot, stream, transmitter, receiver)
-        rows = list(zip(*(c[order].tolist() for c in columns)))
+        order, rows = _ordered(self.mode, self.z, streams)
         return tuple(
             (ev, v, shannon_rate(radio, v))
-            for ev, v in zip(_events_from_rows(rows), np.frombuffer(sinrs)[order].tolist())
+            for ev, v in zip(_events_from_rows(rows.tolist()), np.frombuffer(sinrs)[order].tolist())
             if ev.stream == self.stream
         )
 
@@ -122,40 +115,40 @@ def _events_from_rows(rows):
     ]
 
 
-def build_schedules(routes, mode, z, tr_phase="same"):
-    """Per-stream schedules over route positions, slot-aligned across streams."""
+def _streams(routes, mode, z, tr_phase):
+    """(stream, nodes, opposite) per stream in stream order, each route's
+    schedule validated; opposite marks TR's stream 2 in the opposite phase."""
     if tr_phase not in TR_PHASES:
         raise ValueError("tr_phase must be one of %r, got %r" % (TR_PHASES, tr_phase))
-    schedules = {}
-    for stream in sorted(routes):
-        route = routes[stream]
-        ScheduleConfig(nodes=route.num_nodes, z=z, mode=mode)  # rejects a mode the else would build as NC
-        if mode == MODE_TR:
-            sched = tr_schedule(route.num_nodes, z)
-            if tr_phase == "opposite" and stream == 2:
-                sched = Schedule(config=sched.config, sets=sched.sets[z:] + sched.sets[:z])
-        else:
-            sched = nc_schedule(route.num_nodes, z)
-        schedules[stream] = sched
-    return schedules
+    if not routes:
+        raise ValueError("no routes to schedule")
+    streams = []
+    for stream, route in sorted(routes.items()):
+        ScheduleConfig(nodes=route.num_nodes, z=z, mode=mode)  # validates nodes, z and mode
+        streams.append((stream, route.num_nodes, mode == MODE_TR and tr_phase == "opposite" and stream == 2))
+    return streams
 
 
-def reception_events(schedules, routes):
-    """All reception events over one schedule period, with what is on air.
+def _ordered(mode, z, streams):
+    """A call's events in ``reception_events`` order, from (stream, nodes,
+    opposite) per stream: each one's index in the order ``stream_capacity``
+    makes them, and its (slot, stream, transmitter, receiver) route positions."""
+    parts = []
+    for stream, nodes, opposite in streams:
+        slot, tx, rx = period_events(mode, z, nodes, opposite)
+        parts.append((slot, np.full(len(tx), stream), tx, rx))
+    rows = np.stack([np.concatenate(a) for a in zip(*parts)], axis=1)
+    order = np.lexsort(rows.T[::-1])
+    return order, rows[order]
+
+
+def reception_events(routes, mode, z, tr_phase="same"):
+    """All reception events over one schedule period, with what is on air,
+    in (slot, stream, transmitter, receiver) order.
 
     The scalar reference for the index arrays ``stream_capacity`` builds.
     """
-    periods = {s.period for s in schedules.values()}
-    if len(periods) != 1:
-        raise ValueError("streams must share one schedule period, got %r" % (sorted(periods),))
-    period = periods.pop()
-    rows = []
-    for slot in range(1, period + 1):
-        for stream in sorted(schedules):
-            direction, on_air = schedules[stream].slot(slot)
-            nodes = routes[stream].num_nodes
-            rows.extend((slot, stream, t, rx) for t in sorted(on_air) for rx in receivers(direction, t, nodes))
-    return _events_from_rows(rows)
+    return _events_from_rows(_ordered(mode, z, _streams(routes, mode, z, tr_phase))[1].tolist())
 
 
 def _layout_pair(routes, stream, position):
@@ -190,32 +183,23 @@ def capacity_per_slot(mode, z, forward_bps, reverse_bps):
     raise ValueError("unknown mode %r" % (mode,))
 
 
-def _event_columns(mode, z, streams):
-    """Slot, stream, transmitter and receiver route positions of a call's events,
-    stream by stream in ``period_events`` order, from (stream, nodes, opposite)
-    per stream."""
-    parts = []
-    for stream, nodes, opposite in streams:
-        slot, tx, rx = period_events(mode, z, nodes, opposite)
-        parts.append((slot, np.full(len(tx), stream), tx, rx))
-    return tuple(np.concatenate(a) for a in zip(*parts))
+def _first(bad, ordered):
+    """The index and row of the first event in ``reception_events`` order that
+    ``bad``, a mask over the events in the order they are made, marks."""
+    order, rows = ordered
+    i = np.flatnonzero(bad[order])[0]
+    return order[i], rows[i]
 
 
-def _first(hits, columns):
-    """The index among ``hits`` of the event ``reception_events`` lists first."""
-    slot, stream, tx, rx = (c[hits] for c in columns)
-    return hits[np.lexsort((rx, tx, stream, slot))[0]]
-
-
-def _too_close(geometry, columns, tx_at, rx_at, on_air, close):
+def _too_close(geometry, ordered, tx_at, rx_at, on_air, close):
     """The scalar path's error: the first event in ``reception_events`` order
     that hears a node on air closer than the reference, at its own link if that
     is too close, else at its first such interferer in (stream, route position) order."""
-    slot, stream, tx, _ = columns
-    hits = [(close[r] & on_air[s]).any() for s, r in zip(slot, rx_at)]  # a row at a time, no events x nodes array
-    e = _first(np.flatnonzero(hits), columns)
-    peers = np.flatnonzero(slot == slot[e])  # the slot's events: their transmitters are on air
-    j = next(j for j in [e, *peers[np.lexsort((tx[peers], stream[peers]))]] if close[rx_at[e], tx_at[j]])
+    order, rows = ordered
+    slot = rows[:, 0]
+    i = next(i for i, e in enumerate(order) if (close[rx_at[e]] & on_air[slot[i]]).any())  # a row at a time
+    e = order[i]
+    j = next(j for j in [e, *order[slot == slot[i]]] if close[rx_at[e], tx_at[j]])  # the slot's transmitters
     distance = geometry.distance_matrix[rx_at[e], tx_at[j]]
     return ValueError("distance %.3f m below the %.1f m reference" % (distance, REFERENCE_DISTANCE_M))
 
@@ -253,19 +237,14 @@ def stream_capacity(geometry, routes, radio, mode, z, tr_phase="same"):
     messages sort them into ``reception_events`` order; no schedule or event
     object is built unless ``events`` is read.
     """
-    if tr_phase not in TR_PHASES:
-        raise ValueError("tr_phase must be one of %r, got %r" % (TR_PHASES, tr_phase))
-    if not routes:
-        raise ValueError("no routes to schedule")
-    streams, made, parts, starts = [], {}, [], [0]  # lists, not generators or np.cumsum: both moved tracemalloc peaks
-    for stream, route in sorted(routes.items()):
-        ScheduleConfig(nodes=route.num_nodes, z=z, mode=mode)  # validates nodes, z and mode
-        key = (route.num_nodes, mode == MODE_TR and tr_phase == "opposite" and stream == 2)
-        streams.append((stream, *key))
+    streams = _streams(routes, mode, z, tr_phase)
+    made, parts, starts = {}, [], [0]  # lists, not generators or np.cumsum: both moved tracemalloc peaks
+    for stream, nodes, opposite in streams:
+        key = (nodes, opposite)
         if key not in made:  # streams of one length and phase share their events
             made[key] = period_events(mode, z, *key)
         slot, tx, rx = made[key]
-        at = geometry.route_indices(route)  # route position - 1 -> matrix index
+        at = geometry.route_indices(routes[stream])  # route position - 1 -> matrix index
         parts.append((slot, at[tx - 1], at[rx - 1]))
         starts += [starts[-1] + len(tx) // 2, starts[-1] + len(tx)]  # its reverse run, the next stream
     slot, tx_at, rx_at = (np.concatenate(a) for a in zip(*parts))
@@ -276,8 +255,7 @@ def stream_capacity(geometry, routes, radio, mode, z, tr_phase="same"):
     on_air[slot, tx_at] = True
     clash = on_air[slot, rx_at]
     if clash.any():
-        columns = _event_columns(mode, z, streams)
-        s, _, t, r = np.stack(columns)[:, _first(np.flatnonzero(clash), columns)]
+        _, (s, _, t, r) = _first(clash, _ordered(mode, z, streams))
         raise ValueError("slot %d schedules node %d to receive from node %d while transmitting" % (s, r, t))
     heard = np.empty(len(rx_at))  # interference per event, summed one block of events at a time
     step = max(1, _BLOCK_ENTRIES // len(power))
@@ -285,7 +263,7 @@ def stream_capacity(geometry, routes, radio, mode, z, tr_phase="same"):
         for s in (slice(i, i + step) for i in range(0, len(rx_at), step)):
             listening = on_air[slot[s]]  # (event, node): node on air in the event's slot
             if close is not None and (close[rx_at[s]] & listening).any():
-                raise _too_close(geometry, _event_columns(mode, z, streams), tx_at, rx_at, on_air, close)
+                raise _too_close(geometry, _ordered(mode, z, streams), tx_at, rx_at, on_air, close)
             block = power[rx_at[s]]
             block *= listening
             block[np.arange(len(block)), tx_at[s]] = 0.0  # masked, not subtracted: keeps small interference exact
@@ -294,9 +272,7 @@ def stream_capacity(geometry, routes, radio, mode, z, tr_phase="same"):
         sinrs = power[rx_at, tx_at] / (heard + noise_power(radio))
     finite = np.isfinite(sinrs)
     if not finite.all():
-        columns = _event_columns(mode, z, streams)
-        e = _first(np.flatnonzero(~finite), columns)
-        _, k, t, r = (c[e] for c in columns)
+        e, (_, k, t, r) = _first(~finite, _ordered(mode, z, streams))
         raise ValueError(
             "stream %d %s SINR is %r: the radio's powers overflow float64"
             % (k, FORWARD if r > t else REVERSE, float(sinrs[e]))

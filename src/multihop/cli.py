@@ -5,8 +5,8 @@ Z) cell with its reception events, ``simulate`` runs the packet engine and can
 print the slot-by-slot trace, ``sweep`` emits the experiment CSV, ``table4``
 compares a full sweep against the published reference table.
 
-Exit codes: 0 on success, 1 for invalid configuration or usage or a closed
-standard output, 2 when the analytical and packet engines disagree.
+Exit codes: 0 on success, 1 for invalid configuration or usage, exhausted
+memory or a closed standard output, 2 when the two engines disagree.
 """
 
 import argparse
@@ -257,7 +257,7 @@ def main(argv=None):
         except EngineMismatchError as exc:
             print("engine mismatch: %s" % exc, file=sys.stderr)
             return 2
-        except (ConfigError, ValueError, OSError, SteadyStateError) as exc:
+        except (ConfigError, ValueError, OSError, SteadyStateError, MemoryError) as exc:
             print("error: %s" % exc, file=sys.stderr)
             return 1
 

@@ -14,6 +14,7 @@ streams. Two of that table's cells are self-contradicted by the narrative
 around it; they are carried with notes rather than trusted.
 """
 
+import math
 from dataclasses import asdict, dataclass, fields, replace
 from fractions import Fraction
 
@@ -405,6 +406,8 @@ def compare_table4(rows):
 
     def gain(pick, streams, hops):
         tr, nc = pick[(streams, MODE_TR, hops)].capacity_bps, pick[(streams, MODE_NC, hops)].capacity_bps
+        if tr == 0:  # a radio too weak for any TR rate: no finite gain
+            return math.inf if nc > 0 else math.nan
         return 100.0 * (nc - tr) / tr
 
     improvements = tuple(

@@ -26,7 +26,6 @@ from fractions import Fraction
 import pytest
 
 from multihop.capacity import (
-    build_schedules,
     capacity_per_slot,
     event_interference,
     reception_events,
@@ -118,7 +117,7 @@ def test_criterion_06_interference_monotonicity():
         routes = {1: stream_route(geo, 1, 1, nodes)}
         by_z = {}
         for z in (2, 3, 4, 5):
-            events = reception_events(build_schedules(routes, MODE_TR, z), routes)
+            events = reception_events(routes, MODE_TR, z)
             by_z[z] = {
                 (e.receiver, e.transmitter): event_interference(e, geo, routes, radio)
                 for e in events

@@ -7,7 +7,6 @@ import random
 import pytest
 
 from multihop.capacity import (
-    build_schedules,
     capacity_per_slot,
     event_interference,
     event_sinr,
@@ -36,7 +35,7 @@ def two_streams(nodes=5):
 class TestReceptionEvents:
     def test_store_and_forward_slot_one_golden(self):
         geo, routes = one_stream(5)
-        events = reception_events(build_schedules(routes, MODE_TR, 3), routes)
+        events = reception_events(routes, MODE_TR, 3)
         slot1 = sorted(
             [e for e in events if e.slot == 1], key=lambda e: e.receiver
         )
@@ -47,8 +46,8 @@ class TestReceptionEvents:
 
     def test_event_counts_per_period(self):
         geo, routes = one_stream(5)
-        tr = reception_events(build_schedules(routes, MODE_TR, 3), routes)
-        nc = reception_events(build_schedules(routes, MODE_NC, 3), routes)
+        tr = reception_events(routes, MODE_TR, 3)
+        nc = reception_events(routes, MODE_NC, 3)
         assert len(tr) == 8, "each direction crosses 4 links once per period"
         assert len(nc) == 8, "broadcasts serve both directions in one period"
         assert sum(1 for e in nc if e.direction == FORWARD) == 4
@@ -56,7 +55,7 @@ class TestReceptionEvents:
 
     def test_broadcast_slot_one_events(self):
         geo, routes = one_stream(5)
-        events = reception_events(build_schedules(routes, MODE_NC, 4), routes)
+        events = reception_events(routes, MODE_NC, 4)
         slot1 = sorted([e for e in events if e.slot == 1], key=lambda e: e.receiver)
         assert [(e.receiver, e.transmitter, e.direction) for e in slot1] == [
             (2, 1, FORWARD),
@@ -65,30 +64,23 @@ class TestReceptionEvents:
 
     def test_two_stream_events_see_the_other_row(self):
         geo, routes = two_streams(4)
-        events = reception_events(build_schedules(routes, MODE_TR, 3), routes)
+        events = reception_events(routes, MODE_TR, 3)
         mine = [e for e in events if e.stream == 1 and e.slot == 1]
         assert mine[0].interferers == frozenset({(2, 1)})
-
-    def test_mismatched_periods_rejected(self):
-        geo, routes = two_streams(4)
-        schedules = build_schedules(routes, MODE_TR, 3)
-        schedules[2] = build_schedules({2: routes[2]}, MODE_NC, 3)[2]
-        with pytest.raises(ValueError):
-            reception_events(schedules, routes)
 
 
 class TestEventSinr:
     def test_single_interferer_oracle(self):
         geo, routes = one_stream(5)
         radio = RadioConfig()
-        events = reception_events(build_schedules(routes, MODE_TR, 3), routes)
+        events = reception_events(routes, MODE_TR, 3)
         ev = next(e for e in events if e.slot == 1 and e.receiver == 2)
         assert math.isclose(event_sinr(ev, geo, routes, radio), SINR_ONE_INTERFERER, rel_tol=1e-12)
 
     def test_clean_event_hits_the_interference_free_bound(self):
         geo, routes = one_stream(5)
         radio = RadioConfig()
-        events = reception_events(build_schedules(routes, MODE_TR, 3), routes)
+        events = reception_events(routes, MODE_TR, 3)
         ev = next(e for e in events if e.slot == 2)
         assert ev.interferers == frozenset()
         assert event_interference(ev, geo, routes, radio) == 0.0
@@ -164,9 +156,9 @@ class TestStreamCapacity:
         for mode, z in ((MODE_TR, 2), (MODE_TR, 4), (MODE_NC, 3)):
             solo = {
                 (e.slot, e.receiver, e.transmitter): event_sinr(e, geo1, routes1, radio)
-                for e in reception_events(build_schedules(routes1, mode, z), routes1)
+                for e in reception_events(routes1, mode, z)
             }
-            for e in reception_events(build_schedules(routes2, mode, z), routes2):
+            for e in reception_events(routes2, mode, z):
                 if e.stream != 1:
                     continue
                 key = (e.slot, e.receiver, e.transmitter)
@@ -182,13 +174,6 @@ class TestStreamCapacity:
 
 
 class TestTrPhase:
-    def test_opposite_phase_rotates_the_second_stream(self):
-        geo, routes = two_streams(5)
-        same = build_schedules(routes, MODE_TR, 3, tr_phase="same")
-        opp = build_schedules(routes, MODE_TR, 3, tr_phase="opposite")
-        assert opp[1].sets == same[1].sets
-        assert opp[2].sets == same[2].sets[3:] + same[2].sets[:3]
-
     def test_opposite_phase_changes_interference_not_structure(self):
         geo, routes = two_streams(5)
         radio = RadioConfig()
@@ -212,7 +197,7 @@ class TestTrPhase:
     def test_bad_phase_rejected(self):
         geo, routes = two_streams(5)
         with pytest.raises(ValueError):
-            build_schedules(routes, MODE_TR, 3, tr_phase="sideways")
+            reception_events(routes, MODE_TR, 3, tr_phase="sideways")
 
 
 def optimum_spec(mode, z_values, hop_counts, streams):
@@ -256,7 +241,7 @@ class TestInterferenceMonotonicity:
         geo, routes = one_stream(5)
         by_z = {}
         for z in (2, 3, 4, 5):
-            events = reception_events(build_schedules(routes, MODE_TR, z), routes)
+            events = reception_events(routes, MODE_TR, z)
             by_z[z] = {
                 (e.receiver, e.transmitter): event_interference(e, geo, routes, radio)
                 for e in events

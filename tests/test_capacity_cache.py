@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from multihop import capacity
-from multihop.capacity import build_schedules, event_sinr, reception_events, stream_capacity
+from multihop.capacity import event_sinr, reception_events, stream_capacity
 from multihop.layout import LayoutConfig, NodeGeometry, stream_route
 from multihop.radio import RadioConfig
 from multihop.schedule import MODE_NC, MODE_TR
@@ -117,7 +117,7 @@ def test_a_call_peaks_below_an_events_by_nodes_matrix(power_builds, mode):
 def scalar_error(geo, routes, radio, mode, z, phase):
     """The message ``event_sinr`` raises on the period's events, or None."""
     try:
-        for ev in reception_events(build_schedules(routes, mode, z, tr_phase=phase), routes):
+        for ev in reception_events(routes, mode, z, tr_phase=phase):
             event_sinr(ev, geo, routes, radio)
     except ValueError as exc:
         return str(exc)

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multihop import capacity
-from multihop.capacity import build_schedules, event_sinr, reception_events, stream_capacity
+from multihop.capacity import ReceptionEvent, event_sinr, reception_events, stream_capacity
 from multihop.layout import LayoutConfig, NodeGeometry, build_layout, stream_route
 from multihop.radio import RadioConfig, shannon_rate
 from multihop.schedule import (
@@ -33,7 +33,7 @@ from multihop.schedule import (
     receivers,
     tr_schedule,
 )
-from test_capacity_kernel import PROPERTY_SETTINGS, REL, close, event_blocks, radios, scenarios
+from test_capacity_kernel import PROPERTY_SETTINGS, REL, close, event_blocks, radios, scenarios, schedule_objects
 from test_schedule import periods
 
 BOTTLENECKS = ("forward_bottleneck_bps", "reverse_bottleneck_bps", "capacity_bps")
@@ -44,7 +44,7 @@ BOTTLENECKS = ("forward_bottleneck_bps", "reverse_bottleneck_bps", "capacity_bps
 def test_events_view_matches_the_scalar_reference(scenario, radio):
     geometry, routes, mode, z, tr_phase = scenario
     reports = stream_capacity(geometry, routes, radio, mode, z, tr_phase=tr_phase)
-    reference = reception_events(build_schedules(routes, mode, z, tr_phase=tr_phase), routes)
+    reference = reception_events(routes, mode, z, tr_phase=tr_phase)
     for stream, rep in reports.items():
         want = [ev for ev in reference if ev.stream == stream]
         got = list(rep.events)
@@ -128,19 +128,21 @@ def test_reports_keep_under_8_kb_per_call():
 
 def test_reading_events_does_not_grow_with_z():
     """TR at Z = 10,000 on the default two 5-node rows has 16 events in a
-    period of 20,000 slots. The view builds them from the closed forms, about
-    0.1 MB at peak with the call; walking the period's schedule objects would
-    take about 9 MB."""
+    period of 20,000 slots. The view, with its call, and the scalar
+    reference both build them from the closed forms, about 0.1 MB at peak."""
     geometry = build_layout(LayoutConfig())
     routes = {s: stream_route(geometry, s, 1, 5) for s in (1, 2)}
-    tracemalloc.start()
-    try:
-        reports = stream_capacity(geometry, routes, RadioConfig(), MODE_TR, 10_000)
-        events = [ev for rep in reports.values() for ev in rep.events]
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(events) == 16 and peak < 1_000_000, peak
+    for read in (
+        lambda: [ev for rep in stream_capacity(geometry, routes, RadioConfig(), MODE_TR, 10_000).values() for ev in rep.events],
+        lambda: reception_events(routes, MODE_TR, 10_000),
+    ):
+        tracemalloc.start()
+        try:
+            events = read()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(events) == 16 and peak < 1_000_000, peak
 
 
 @pytest.mark.parametrize("mode,streams", [(MODE_NC, 1), (MODE_NC, 2), (MODE_TR, 1)])
@@ -165,9 +167,19 @@ def test_opposite_phase_gives_a_different_second_stream_report():
 def test_rebuilt_events_match_the_schedule_objects(nodes, mode, streams, tr_phase):
     geometry, routes = rows(nodes, streams)
     reports = stream_capacity(geometry, routes, RadioConfig(), mode, 4, tr_phase=tr_phase)
-    reference = reception_events(build_schedules(routes, mode, 4, tr_phase=tr_phase), routes)
+    schedules = schedule_objects(routes, mode, 4, tr_phase)
+    walked = []  # slot by slot, stream by stream, each sender in route order addressing its receivers
+    for slot in range(1, schedules[1].period + 1):
+        on_air = frozenset((k, t) for k, sched in schedules.items() for t in sched.slot(slot)[1])
+        for stream in sorted(schedules):
+            direction, sending = schedules[stream].slot(slot)
+            walked += [
+                ReceptionEvent(slot, stream, r, t, FORWARD if r > t else REVERSE, on_air)
+                for t in sorted(sending)
+                for r in receivers(direction, t, nodes)
+            ]
     for stream, rep in reports.items():
-        assert [ev for ev, _, _ in rep.events] == [ev for ev in reference if ev.stream == stream]
+        assert [ev for ev, _, _ in rep.events] == [ev for ev in walked if ev.stream == stream]
 
 
 BLOCK_EVENTS = [1, 7, None]  # on 396 events: one per block; 56 blocks of 7 and one of 4; the default, 81 per block
@@ -204,7 +216,7 @@ def test_close_rows_fail_at_the_first_offender_in_a_later_block(events):
     routes = {s: stream_route(geometry, s, 1, nodes) for s in (1, 2)}
     radio = RadioConfig()
     failing = {}  # (slot, stream, transmitter, receiver) -> the scalar path's error, in reception_events order
-    for ev in reception_events(build_schedules(routes, MODE_TR, z, tr_phase="opposite"), routes):
+    for ev in reception_events(routes, MODE_TR, z, tr_phase="opposite"):
         try:
             event_sinr(ev, geometry, routes, radio)
         except ValueError as exc:

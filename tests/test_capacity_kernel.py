@@ -8,6 +8,7 @@ rounding of a float64 sum of a few dozen positive terms.
 
 import math
 import warnings
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -15,10 +16,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from multihop import capacity
-from multihop.capacity import build_schedules, event_sinr, reception_events, stream_capacity
+from multihop.capacity import event_sinr, reception_events, stream_capacity
 from multihop.layout import LayoutConfig, NodeGeometry, build_layout, stream_route
 from multihop.radio import RadioConfig, shannon_rate
-from multihop.schedule import MODE_NC, MODE_TR
+from multihop.schedule import MODE_NC, MODE_TR, nc_schedule, tr_schedule
 
 REL = 1e-12
 PROPERTY_SETTINGS = settings(
@@ -78,6 +79,18 @@ def close(got, want):
     return math.isclose(got, want, rel_tol=REL, abs_tol=0.0)
 
 
+def schedule_objects(routes, mode, z, tr_phase):
+    """The packet engine's schedule of each stream over its route positions,
+    stream 2's rotated by Z in TR's opposite phase."""
+    schedules = {}
+    for stream, route in routes.items():
+        sched = (tr_schedule if mode == MODE_TR else nc_schedule)(route.num_nodes, z)
+        if mode == MODE_TR and tr_phase == "opposite" and stream == 2:
+            sched = replace(sched, sets=sched.sets[z:] + sched.sets[:z])
+        schedules[stream] = sched
+    return schedules
+
+
 def event_blocks(events, geometry):
     """Make ``stream_capacity`` sum interference ``events`` events at a time
     on ``geometry``'s nodes."""
@@ -100,7 +113,7 @@ def test_matrix_pass_matches_the_scalar_reference_in_3_event_blocks(scenario, ra
 def check_matrix_pass(scenario, radio):
     geometry, routes, mode, z, tr_phase = scenario
     reports = stream_capacity(geometry, routes, radio, mode, z, tr_phase=tr_phase)
-    schedules = build_schedules(routes, mode, z, tr_phase=tr_phase)
+    schedules = schedule_objects(routes, mode, z, tr_phase)
     assert sorted(reports) == sorted(routes)
     for rep in reports.values():
         assert rep.events
@@ -139,7 +152,7 @@ def check_close_rows(scenario, radio):
     """Rows 0.5 m apart fail only where a receiver hears the other row's
     opposite node on air; the matrix pass must fail on the same scenarios."""
     geometry, routes, mode, z, tr_phase = scenario
-    events = reception_events(build_schedules(routes, mode, z, tr_phase=tr_phase), routes)
+    events = reception_events(routes, mode, z, tr_phase=tr_phase)
     try:
         for ev in events:
             event_sinr(ev, geometry, routes, radio)
@@ -175,7 +188,7 @@ def check_reference_message(scenario, radio):
     close, and checks its own link before its interferers in (stream, route
     position) order."""
     geometry, routes, mode, z, tr_phase = scenario
-    events = reception_events(build_schedules(routes, mode, z, tr_phase=tr_phase), routes)
+    events = reception_events(routes, mode, z, tr_phase=tr_phase)
     try:
         for ev in events:
             event_sinr(ev, geometry, routes, radio)
@@ -194,9 +207,9 @@ def one_row_routes(draw):
     geometry = NodeGeometry(LayoutConfig(nodes_per_stream=nodes, num_streams=1))  # no size warning
     routes = {}
     for stream in (1, 2):
-        source, destination = draw(st.lists(st.integers(1, nodes), min_size=2, max_size=2, unique=True))
-        if abs(source - destination) < 2:  # at least three nodes
-            destination = source + 2 if source + 2 <= nodes else source - 2
+        low = draw(st.integers(1, nodes - 2))
+        high = draw(st.integers(low + 2, nodes))  # at least three nodes
+        source, destination = (high, low) if draw(st.booleans()) else (low, high)
         routes[stream] = stream_route(geometry, 1, source, destination)
     return geometry, routes, draw(st.integers(2, nodes))
 
@@ -207,10 +220,9 @@ def test_clash_names_the_first_clashing_event(case):
     """Two routes on one row in the opposite TR phase: the error names the
     first event in ``reception_events`` order whose receiver's node is on air."""
     geometry, routes, z = case
-    schedules = build_schedules(routes, MODE_TR, z, tr_phase="opposite")
     clashes = [
         ev
-        for ev in reception_events(schedules, routes)
+        for ev in reception_events(routes, MODE_TR, z, tr_phase="opposite")
         if routes[ev.stream].layout_node(ev.receiver) in {routes[k].layout_node(n) for k, n in ev.on_air}
     ]
     if not clashes:

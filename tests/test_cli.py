@@ -1,15 +1,19 @@
 """Command-line verbs, exit codes, and output plumbing."""
 
+import contextlib
 import hashlib
 import io
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from multihop import cli
-from multihop.harness import EngineMismatchError, load_config, read_csv
+from multihop.harness import DEFAULTS, EngineMismatchError, load_config, read_csv
 
 
 class TestVerbs:
@@ -229,6 +233,16 @@ class TestExitCodes:
         assert capsys.readouterr() == ("", "error: %s must name a file, not '-': only sweep writes CSV to stdout\n" % flag)
         assert list(tmp_path.iterdir()) == []
 
+    def test_out_of_memory_is_one_error_line(self, monkeypatch, capsys):
+        def exhausted(config):
+            raise MemoryError("Unable to allocate 596. GiB for an array with shape (200000, 200000, 2)")
+
+        monkeypatch.setattr(cli, "build_layout", exhausted)
+        assert cli.main(["layout", "--nodes-per-stream", "100000"]) == 1
+        assert capsys.readouterr().err == (
+            "error: Unable to allocate 596. GiB for an array with shape (200000, 200000, 2)\n"
+        )
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["--help"])
@@ -270,3 +284,66 @@ class TestExitCodes:
         finally:
             os.close(write)
         assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+EDGE_VALUES = ["0", "1", "-1", "nan", "inf", "-inf", "1e308", "1e-300", "", ",", "-", "2,,3"]
+SIZES = st.integers(0, 64).map(str)  # no size limit exists yet, so no draw past 64
+VALUES = {  # a flag's in-range values, drawn beside the edge values
+    "nodes_per_stream": SIZES,
+    "z_values": SIZES,
+    "hop_counts": SIZES,
+    "modes": st.sampled_from(["TR", "NC", "TR,NC"]),
+    "tr_phase": st.sampled_from(["same", "opposite"]),
+}
+OPTIONS = {  # each verb's flags beyond --config and its config keys; None marks a switch
+    "layout": {},
+    "capacity": {"hops": SIZES},
+    "simulate": {"hops": SIZES, "periods": SIZES, "trace": None, "trace_csv": st.just("out.csv")},
+    "sweep": {"output": st.just("out.csv")},
+    "table4": {"alt": None, "output": st.just("out.csv")},
+}
+REQUIRED = {verb: {"mode": st.sampled_from(["TR", "NC"]), "z": SIZES} for verb in ("capacity", "simulate")}
+
+
+def flag_value(values):
+    return st.sampled_from(EDGE_VALUES) | values
+
+
+@st.composite
+def command_lines(draw):
+    """A verb with its required flags and up to four more of its own, each
+    value an edge value or an in-range one, as ``--flag value`` or ``--flag=value``."""
+    verb = draw(st.sampled_from(sorted(OPTIONS)))
+    flags = {key: VALUES.get(key, st.just(str(DEFAULTS[key]))) for key in cli.VERB_KEYS[verb]}
+    flags.update(config=st.just("out.cfg"), **OPTIONS[verb])
+    argv = [verb]
+    for name, values in REQUIRED.get(verb, {}).items():
+        argv += ["--" + name, draw(flag_value(values))]
+    for key in draw(st.lists(st.sampled_from(sorted(flags)), unique=True, max_size=4)):
+        flag = "--" + cli._FLAG_ALIASES.get(key, key).replace("_", "-")
+        if flags[key] is None:
+            argv.append(flag)
+            continue
+        value = draw(flag_value(flags[key]))
+        argv += ["%s=%s" % (flag, value)] if draw(st.booleans()) else [flag, value]
+    return argv
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argv=command_lines())
+def test_every_command_line_exits_0_or_1_with_one_error_line(argv):
+    """In process through ``cli.main``: no exception escapes, and an exit of 1
+    prints exactly one ``error:`` line, last, after any ``warning:`` lines.
+    Files the run writes land in a fresh directory."""
+    out, err, cwd = io.StringIO(), io.StringIO(), os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        os.chdir(tmp)  # not contextlib.chdir, which needs Python 3.11
+        try:
+            code = cli.main(argv)
+        finally:
+            os.chdir(cwd)
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1), (argv, code, lines)
+    errors = [line for line in lines if line.startswith("error: ")]
+    assert errors == (lines[-1:] if code == 1 else []), (argv, lines)
+    assert all(line.startswith("warning: ") for line in lines[: len(lines) - len(errors)]), (argv, lines)

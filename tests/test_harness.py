@@ -309,6 +309,14 @@ class TestReferenceComparison:
         assert "capacity cells within 25%" in text
         assert text.count("\n") > 20
 
+    def test_zero_tr_capacity_gives_an_undefined_gain(self):
+        """A radio too weak for any rate: NC over a zero TR capacity gains
+        nan when NC is zero too, inf when it is not, and nothing divides by zero."""
+        rows = [replace(r, capacity_bps=0.0) if r.mode == MODE_TR or r.hops == 2 else r for r in table4_rows()]
+        for imp in compare_table4(rows).improvements:
+            want = math.nan if imp.hops == 2 else math.inf
+            assert repr(imp.at_published_z_pct) == repr(imp.at_computed_z_pct) == repr(want), imp
+
     def test_missing_rows_rejected(self):
         partial = [r for r in table4_rows() if r.streams == 1]
         with pytest.raises(ValueError, match=re.escape("sweep is missing row (2, 'TR', 2, 3)")):
