@@ -93,11 +93,11 @@ class StreamCapacityReport:
         built on first read by sorting the call's events and their SINRs."""
         radio, streams, sinrs = self._events_of_call
         order, rows = _ordered(self.mode, self.z, streams)
-        return tuple(
+        return tuple([
             (ev, v, shannon_rate(radio, v))
             for ev, v in zip(_events_from_rows(rows.tolist()), np.frombuffer(sinrs)[order].tolist())
             if ev.stream == self.stream
-        )
+        ])
 
 
 def _events_from_rows(rows):

@@ -69,7 +69,7 @@ def parse_value(key, text):
     """Parse one config value, a comma-separated list where the default is a tuple."""
     default = DEFAULTS[key]
     if isinstance(default, tuple):
-        return tuple(_parse_scalar(key, p, default[0]) for p in text.split(","))
+        return tuple([_parse_scalar(key, p, default[0]) for p in text.split(",")])
     value = _parse_scalar(key, text, default)
     if key == "tr_phase" and value not in TR_PHASES:
         raise ConfigError("tr_phase must be one of %r, got %r" % (TR_PHASES, value))
@@ -180,7 +180,7 @@ class ResultRow:
 
 
 _ROW_FIELDS = fields(ResultRow)
-CSV_COLUMNS = tuple(f.name for f in _ROW_FIELDS)
+CSV_COLUMNS = tuple([f.name for f in _ROW_FIELDS])
 
 
 def stream_routes(geometry, nodes):
@@ -410,10 +410,10 @@ def compare_table4(rows):
             return math.inf if nc > 0 else math.nan
         return 100.0 * (nc - tr) / tr
 
-    improvements = tuple(
+    improvements = tuple([
         ImprovementCell(streams, hops, pct, gain(at_pub, streams, hops), gain(best, streams, hops))
         for (streams, hops), pct in PUBLISHED_IMPROVEMENT_PCT.items()
-    )
+    ])
     return Table4Comparison(cells=tuple(cells), improvements=improvements)
 
 

@@ -21,16 +21,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
 
-from multihop.schedule import (
-    BROADCAST,
-    FORWARD,
-    REVERSE,
-    SERVES,
-    Schedule,
-    nc_schedule,
-    receivers,
-    tr_schedule,
-)
+from multihop.schedule import BROADCAST, FORWARD, MODE_NC, MODE_TR, REVERSE, SERVES, ScheduleConfig, period_events
+from multihop.schedule import nc_schedule, slot_directions, tr_schedule
 
 
 class SteadyStateError(RuntimeError):
@@ -90,12 +82,12 @@ class SlotRecord:
     def stored(self):
         """(node, direction, label) snapshot after the slot, built on first read."""
         label, fwd, rev = self._held
-        return tuple((n, d, label(m)) for d, row in ((FORWARD, fwd), (REVERSE, rev)) for n, m in enumerate(row) if m)
+        return tuple([(n, d, label(m)) for d, row in ((FORWARD, fwd), (REVERSE, rev)) for n, m in enumerate(row) if m])
 
 
 @dataclass
 class SimTrace:
-    schedule: Schedule = field(repr=False)  # the run's; mode, nodes, z and period are read from it
+    config: ScheduleConfig = field(repr=False)  # the run's; mode, nodes, z and period are read from it
     mode: str = field(init=False)
     nodes: int = field(init=False)
     z: int = field(init=False)
@@ -112,8 +104,14 @@ class SimTrace:
     _log: list = field(default_factory=list, repr=False)
 
     def __post_init__(self):
-        config = self.schedule.config
-        self.mode, self.nodes, self.z, self.period = config.mode, config.nodes, config.z, self.schedule.period
+        c = self.config
+        self.mode, self.nodes, self.z, self.period = c.mode, c.nodes, c.z, len(slot_directions(c.mode, c.z))
+
+    @cached_property
+    def schedule(self):
+        """The run's Schedule, built on first read by the replay and trace export, not by measuring.
+        The builders are looked up in this module at call time, where perfbench wraps them."""
+        return (tr_schedule if self.mode == MODE_TR else nc_schedule)(self.nodes, self.z)
 
     @property
     def total_slots(self):
@@ -204,7 +202,7 @@ def run_tr_sim(nodes, z, num_periods=None):
     one hop per forward slot and sits out the reverse half-cycles, which is
     where the closed-form latency picks up its z * floor((N_o-2)/z) term.
     """
-    return _simulate(tr_schedule(nodes, z), num_periods)
+    return _simulate(ScheduleConfig(nodes=nodes, z=z, mode=MODE_TR), num_periods)
 
 
 def run_nc_sim(nodes, z, num_periods=None):
@@ -216,11 +214,11 @@ def run_nc_sim(nodes, z, num_periods=None):
     stores it for the opposite-neighbour hop. Endpoints decode the same way,
     which is what lets a combined packet serve both directions at once.
     """
-    return _simulate(nc_schedule(nodes, z), num_periods)
+    return _simulate(ScheduleConfig(nodes=nodes, z=z, mode=MODE_NC), num_periods)
 
 
-def _simulate(schedule, num_periods):
-    """Replay a schedule with every payload an XOR label of source packets.
+def _simulate(config, num_periods):
+    """Replay a config's schedule with every payload an XOR label of source packets.
 
     Node 1 injects forward and node N_o reverse at each of their slots. A
     relay sends the XOR of what it stores for the directions it serves, one
@@ -234,25 +232,29 @@ def _simulate(schedule, num_periods):
     """
     if num_periods is not None and (type(num_periods) is not int or num_periods < 1):
         raise ValueError("num_periods must be None or an int >= 1, not %r" % (num_periods,))
-    trace = SimTrace(schedule)
-    nodes, period = trace.nodes, trace.period
-    ends = (1, nodes)
-    # each slot of the period: its transmitters in node order as (node, directions
-    # served, ((receiver, direction of travel, receiver is an endpoint), ...))
-    plan = [
-        [
-            (tx, SERVES[direction], tuple((rx, int(rx < tx), rx in ends) for rx in receivers(direction, tx, nodes)))
-            for tx in sorted(on_air)
-        ]
-        for direction, on_air in schedule.sets
-    ]
+    nodes, z = config.nodes, config.z
+    # a moving packet crosses a hop per period, so fill and latency each stay under N periods
+    periods = 4 * nodes if num_periods is None else num_periods
+    # the log's bound, at most 2**31 B, checked before allocating (sizes measured on 64-bit CPython):
+    # at most 2Z slots a period, each about 224 B and 3 labels per sender (at most N // Z + 1 of
+    # them), a label about 48 B and a bit per packet so far (2 a period, 4 B per 30 bits)
+    need = periods * 2 * z * (224 + 3 * (nodes // z + 1) * (48 + periods // 3))
+    if need > 2**31:
+        raise ValueError("run too large: its log could take %.3g GB at nodes=%d z=%d periods=%d, over the "
+                         "2.15 GB limit" % (need / 1e9, nodes, z, periods))
+    trace, directions, ends = SimTrace(config), slot_directions(config.mode, z), (1, nodes)
+    period = trace.period
+    # each slot of the period: its transmitters in node order as (node, directions served,
+    # ((receiver, direction of travel, receiver is an endpoint), ...)), lower receiver first
+    plan = [{} for _ in directions]  # first each slot's {transmitter: [its receiver triples]}
+    for s, tx, rx in sorted(zip(*[c.tolist() for c in period_events(config.mode, z, nodes)])):
+        plan[s - 1].setdefault(tx, []).append((rx, int(rx < tx), rx in ends))
+    plan = [[(tx, SERVES[d], tuple(hears)) for tx, hears in on_air.items()] for d, on_air in zip(directions, plan)]
     stored = ([0] * (nodes + 1), [0] * (nodes + 1))  # forward, reverse label held per node
     known = [0] * (nodes + 1)
     injected, delivered = trace._injected, trace._delivered
     fresh = [0, 1]  # next bit index per direction
-    # a moving packet crosses a hop per period, so fill and latency each stay
-    # under nodes * period slots
-    slots = 4 * nodes * period if num_periods is None else num_periods * period
+    slots = periods * period
     # deliveries per direction injected after warmup; warmup stays 0, so every
     # delivery counts, until both directions have delivered
     warmup, late = 0, [0, 0]

@@ -8,10 +8,10 @@ its period is Z. A slot's transmit set is one progression of nodes Z apart,
 all sending one way; ``Schedule.sets[i]`` is slot i + 1's (direction, frozenset
 of nodes on air). Both functions first validate a ``ScheduleConfig`` of their mode.
 
-``period_events``, a stream's (slot, transmitter, receiver) columns, is the
-one encoding of the slot rules: ``stream_capacity`` reads the columns, and the
-builders group them by slot, each slot's direction set by its half (so empty
-slots have one). ``tests/reference.py`` holds the independent set forms.
+``period_events``, a stream's (slot, transmitter, receiver) columns, is the one
+encoding of the slot rules and ``slot_directions`` of the period: both engines
+read them, and the builders group the columns by slot, so empty slots have a
+direction. ``tests/reference.py`` holds the independent set forms and addressing.
 """
 
 from dataclasses import dataclass
@@ -48,15 +48,6 @@ class ScheduleConfig:
             raise ValueError("mode must be %r or %r" % (MODE_TR, MODE_NC))
 
 
-def receivers(direction, node, nodes):
-    """Route positions a node sending in ``direction`` on a line of ``nodes`` is addressed to."""
-    if direction == FORWARD:
-        return (node + 1,)
-    if direction == REVERSE:
-        return (node - 1,)
-    return tuple([n for n in (node - 1, node + 1) if 1 <= n <= nodes])
-
-
 @dataclass(frozen=True)
 class Schedule:
     config: ScheduleConfig
@@ -90,9 +81,16 @@ def period_events(mode, z, nodes, opposite=False):
     return slot, tx, rx
 
 
-def _grouped(config, directions):
-    """The schedule whose slot s sends in ``directions[s - 1]`` with the
+def slot_directions(mode, z):
+    """The direction of each slot of a mode's period: z forward then z reverse
+    slots under TR, z broadcast slots under NC. Its length is the period."""
+    return [BROADCAST] * z if mode == MODE_NC else [FORWARD] * z + [REVERSE] * z
+
+
+def _grouped(config):
+    """The schedule whose slot s sends in ``slot_directions`` entry s with the
     transmitters ``period_events`` puts in slot s; a slot may be empty."""
+    directions = slot_directions(config.mode, config.z)
     slot, tx, _ = period_events(config.mode, config.z, config.nodes)
     on_air = [[] for _ in directions]
     for s, t in zip(slot.tolist(), tx.tolist()):
@@ -102,9 +100,9 @@ def _grouped(config, directions):
 
 def tr_schedule(nodes, z):
     """Store-and-forward schedule on a line of ``nodes``: z forward slots then z reverse slots."""
-    return _grouped(ScheduleConfig(nodes=nodes, z=z, mode=MODE_TR), [FORWARD] * z + [REVERSE] * z)
+    return _grouped(ScheduleConfig(nodes=nodes, z=z, mode=MODE_TR))
 
 
 def nc_schedule(nodes, z):
     """Coded-relaying schedule on a line of ``nodes``: every node broadcasts in its progression slot."""
-    return _grouped(ScheduleConfig(nodes=nodes, z=z, mode=MODE_NC), [BROADCAST] * z)
+    return _grouped(ScheduleConfig(nodes=nodes, z=z, mode=MODE_NC))

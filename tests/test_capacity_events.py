@@ -30,9 +30,9 @@ from multihop.schedule import (
     REVERSE,
     nc_schedule,
     period_events,
-    receivers,
     tr_schedule,
 )
+from reference import receivers
 from test_capacity_kernel import PROPERTY_SETTINGS, REL, close, event_blocks, radios, scenarios, schedule_objects
 from test_schedule import periods
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from multihop import cli
+from multihop import cli, packetsim
 from multihop.harness import DEFAULTS, EngineMismatchError, load_config, read_csv
 
 
@@ -241,6 +241,19 @@ class TestExitCodes:
         assert cli.main(["layout", "--nodes-per-stream", "100000"]) == 1
         assert capsys.readouterr().err == (
             "error: Unable to allocate 596. GiB for an array with shape (200000, 200000, 2)\n"
+        )
+
+    def test_simulate_rejects_a_run_too_large_before_planning_it(self, monkeypatch, capsys):
+        # unguarded, this run was killed for memory on a 7 GB machine
+        def refuse(*args, **kwargs):
+            raise AssertionError("a run was planned")
+
+        monkeypatch.setattr(packetsim, "slot_directions", refuse)
+        monkeypatch.setattr(packetsim, "period_events", refuse)
+        assert cli.main(["simulate", "--mode", "NC", "--z", "3", "--hops", "1000000000", "--periods", "1"]) == 1
+        assert capsys.readouterr().err == (
+            "error: run too large: its log could take 288 GB at nodes=1000000001 z=3 periods=1, "
+            "over the 2.15 GB limit\n"
         )
 
     def test_help_exits_zero(self, capsys):

@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from multihop import harness, packetsim
@@ -31,10 +31,13 @@ from multihop.schedule import (
     MODE_NC,
     MODE_TR,
     REVERSE,
-    Schedule,
+    ScheduleConfig,
     nc_schedule,
+    period_events,
     tr_schedule,
 )
+from reference import receivers
+from test_schedule import periods, reference_sets
 
 GRID = [(nodes, z) for nodes in range(3, 8) for z in range(2, 7)]
 
@@ -139,6 +142,12 @@ class TestGoldenCodedTrace:
         for d in trace.deliveries:
             assert d.node in (1, 5)
             assert (d.packet.direction == FORWARD) == (d.node == 5)
+
+    def test_a_broadcast_serves_its_lower_receiver_first(self):
+        # on 3 nodes the relay's XOR reaches both ends in one slot: node 1 decodes first
+        trace = run_nc_sim(3, 2)
+        assert trace_to_csv_text(trace).splitlines()[2] == "2,2,2:A^B,,B@1:L2;A@3:L2"
+        assert trace._delivered[:4] == [(1, 1, 2, 2), (0, 3, 2, 2), (3, 1, 4, 2), (2, 3, 4, 2)]
 
 
 class TestLatencyFormulas:
@@ -287,6 +296,29 @@ class TestEngineProperties:
                 assert set(rec.transmissions) == set(rec.scheduled)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None, suppress_health_check=[HealthCheck.too_slow])
+@given(period=periods(), mode=st.sampled_from((MODE_TR, MODE_NC)))
+@example(period=(64, 192), mode=MODE_NC)
+@example(period=(4, 5), mode=MODE_TR)  # TR forward slots 4 and 5 and reverse slot 5 are empty
+def test_the_engine_sends_and_delivers_as_the_reference_addresses(period, mode):
+    """The engine plans its slots from ``period_events``. For N 3..64 and
+    Z 2..3N in both modes, every logged send comes from a node the reference
+    puts on air in that slot, and every stored or delivered receiver, with its
+    direction of travel, is one a sender of that slot addresses."""
+    nodes, z = period
+    trace = simulate(mode, nodes, z)
+    slots = reference_sets(mode, nodes, z)
+    delivered = {}  # slot -> receiving nodes
+    for _, node, t, _ in trace._delivered:
+        delivered.setdefault(t, set()).add(node)
+    for t, (sent, touched, _) in enumerate(trace._log, 1):
+        direction, on_air = slots[(t - 1) % len(slots)]
+        assert set(sent[::2]) <= on_air, t
+        addressed = {(r, int(r < n)) for n in sent[::2] for r in receivers(direction, n, nodes)}
+        assert set(zip(touched[::3], touched[1::3])) <= addressed, t
+        assert delivered.get(t, set()) <= {r for r, _ in addressed}, t
+
+
 TABLE4_SIMS = [(mode, nodes, z) for mode in (MODE_TR, MODE_NC) for nodes in range(3, 7) for z in range(2, 6)]
 STRESS_SIMS = [(mode, nodes, z) for mode in (MODE_TR, MODE_NC) for nodes in (9, 17, 33, 64) for z in range(2, 17)]
 PREFIX_SIMS = [(mode, nodes, z) for mode in (MODE_TR, MODE_NC) for nodes in range(3, 30) for z in range(2, min(nodes, 14) + 1)]
@@ -314,12 +346,51 @@ class TestRunLength:
         common = min(len(short), len(fixed))
         assert short[:common] == fixed[:common]
 
-    def test_no_steady_state_hits_the_cap(self):
+    def test_no_steady_state_hits_the_cap(self, monkeypatch):
         # the high end never transmits, so nothing travels in reverse
-        schedule = tr_schedule(5, 3)
-        mute = tuple((direction, on_air - {5}) for direction, on_air in schedule.sets)
-        with pytest.raises(SteadyStateError, match=r"no steady state within \d+ slots"):
-            packetsim._simulate(Schedule(config=schedule.config, sets=mute), None)
+        def muted(mode, z, nodes, opposite=False):
+            slot, tx, rx = period_events(mode, z, nodes, opposite)
+            keep = tx != nodes
+            return slot[keep], tx[keep], rx[keep]
+
+        monkeypatch.setattr(packetsim, "period_events", muted)
+        with pytest.raises(SteadyStateError, match=r"no steady state within 120 slots"):
+            run_tr_sim(5, 3)
+
+
+def refuse_to_plan(monkeypatch):
+    """Make the engine's first allocations, the slot directions and the period's columns, fail."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a run was planned")
+
+    monkeypatch.setattr(packetsim, "slot_directions", refuse)
+    monkeypatch.setattr(packetsim, "period_events", refuse)
+
+
+class TestSizeLimit:
+    """A run whose log could outgrow 2**31 bytes is rejected before it allocates anything."""
+
+    @pytest.mark.parametrize(
+        "run,nodes,z,num_periods,message",
+        [
+            (run_nc_sim, 1_000_000_001, 3, None,
+             "3.2e+19 GB at nodes=1000000001 z=3 periods=4000000004"),
+            (run_tr_sim, 5, 10**9, None, "1.54e+04 GB at nodes=5 z=1000000000 periods=20"),
+            (run_tr_sim, 64, 2, 3960, "2.15 GB at nodes=64 z=2 periods=3960"),
+        ],
+    )
+    def test_an_oversized_run_is_rejected_before_it_is_planned(self, monkeypatch, run, nodes, z, num_periods, message):
+        refuse_to_plan(monkeypatch)
+        with pytest.raises(ValueError) as exc:
+            run(nodes, z, num_periods=num_periods)
+        assert str(exc.value) == "run too large: its log could take %s, over the 2.15 GB limit" % message
+
+    @pytest.mark.parametrize("run,nodes,z,num_periods", [(run_nc_sim, 393, 3, None), (run_tr_sim, 64, 2, 3959)])
+    def test_the_largest_runs_within_the_limit_are_planned(self, monkeypatch, run, nodes, z, num_periods):
+        refuse_to_plan(monkeypatch)
+        with pytest.raises(AssertionError, match="a run was planned"):
+            run(nodes, z, num_periods=num_periods)
 
 
 class TestRenderRange:
@@ -606,7 +677,7 @@ class TestPacketsOnDemand:
     @given(st.integers(3, 64), st.sampled_from((FORWARD, REVERSE)), st.integers(1, 500))
     def test_packet_round_trips_through_its_bit_index(self, nodes, direction, seq):
         pid = PacketId(direction, seq, 1 if direction == FORWARD else nodes)
-        trace = SimTrace(nc_schedule(nodes, 2))
+        trace = SimTrace(ScheduleConfig(nodes, 2, MODE_NC))
         assert trace._packet(pid.alphabet_index) == pid
 
     @pytest.mark.parametrize("run", [run_tr_sim, run_nc_sim])
@@ -615,7 +686,7 @@ class TestPacketsOnDemand:
         measured_delivery_rate(trace)
         measured_latency(trace, FORWARD)
         measured_latency(trace, REVERSE)
-        assert not {"injections", "deliveries", "slots"} & set(vars(trace))
+        assert not {"injections", "deliveries", "slots", "schedule"} & set(vars(trace))
         assert trace.deliveries is trace.deliveries
         assert {"injections", "deliveries"} <= set(vars(trace))
 

@@ -21,10 +21,9 @@ from multihop.schedule import (
     ScheduleConfig,
     nc_schedule,
     period_events,
-    receivers,
     tr_schedule,
 )
-from reference import forward_set, nc_transmit_set, reverse_set
+from reference import forward_set, nc_transmit_set, receivers, reverse_set
 
 GRID = [(nodes, z) for nodes in range(3, 11) for z in range(2, 9)]
 
