@@ -251,7 +251,11 @@ def stream_capacity(geometry, routes, radio, mode, z, tr_phase="same"):
     del parts, made, tx, rx  # the per-stream arrays, before the power rows are gathered
 
     power, close = _received_power(geometry, radio)
-    on_air = np.zeros((slot.max() + 1, len(power)), dtype=bool)  # row = slot
+    shape = (int(slot.max()) + 1, len(power))  # row = slot, so TR's on-air matrix grows with Z
+    if shape[0] * shape[1] > 2**28:  # bools: 256 MiB
+        raise ValueError("on-air matrix too large: %d slots x %d nodes at z=%d, over the 2**28-entry limit"
+                         % (*shape, z))
+    on_air = np.zeros(shape, dtype=bool)
     on_air[slot, tx_at] = True
     clash = on_air[slot, rx_at]
     if clash.any():

@@ -198,10 +198,7 @@ def run_sweep(spec):
             routes = stream_routes(geometry, nodes)
             group = []
             for z in spec.z_values:
-                reports = stream_capacity(
-                    geometry, routes, spec.radio, mode, z, tr_phase=spec.tr_phase
-                )
-                report = reports[1]
+                report = stream_capacity(geometry, routes, spec.radio, mode, z, tr_phase=spec.tr_phase)[1]
                 trace = run_tr_sim(nodes, z) if mode == MODE_TR else run_nc_sim(nodes, z)
                 group.append(
                     ResultRow(

@@ -1,27 +1,30 @@
 """Packet-level replay of the TDMA schedules, independent of the radio model.
 
-Sources stay saturated: the low end injects a fresh packet at every one of its
-transmit slots, the high end likewise in the opposite direction. Delivery here
-never depends on SINR; the point is to measure latency and delivery rate of
-the schedules themselves and compare them with the closed-form predictions.
-A run observes its own steady state: warmup ends at the first slot by which
-both directions have delivered, and the run stops once each direction has
-delivered 3 packets injected after warmup and 2 whole periods have passed.
-An explicit ``num_periods`` fixes the length instead.
+Sources stay saturated: the low end injects a fresh packet at every one of its transmit slots,
+the high end likewise in the opposite direction. Delivery here never depends on SINR; the point
+is to measure latency and delivery rate of the schedules themselves and compare them with the
+closed-form predictions. A run observes its own steady state: warmup ends at the first slot by
+which both directions have delivered, and the run stops once each direction has delivered 3
+packets injected after warmup and 2 whole periods have passed. An explicit ``num_periods`` fixes
+the length instead.
 
-Inside the engine a label is an int with bit ``PacketId.alphabet_index`` set
-per component: XOR is ``^``, a strip is ``& ~known`` and a lone component has
-``r & (r - 1) == 0``. A run keeps packets as bit indices and one log entry per
-slot of what it sent and stored, so measuring builds no ``PacketId``,
-``Delivery`` or ``SlotRecord`` (``injections``, ``deliveries`` and ``slots``
-build them on first read). Records and trace text replay the log from slot 1.
+Inside the engine a label is an int with bit ``PacketId.alphabet_index`` set per component: XOR
+is ``^``, a strip is ``& ~known`` and a lone component has ``r & (r - 1) == 0``. The engine is
+one generator of per-slot sends and stores. A run drains it and keeps the held and known rows,
+the plan, and packets as bit indices: no slot log, so measuring builds no ``PacketId``,
+``Delivery`` or ``SlotRecord`` (``injections``, ``deliveries`` and ``slots`` build them on first
+read). Records and trace text re-run the deterministic engine from slot 1. A run is refused
+before it is planned if what it keeps could pass 2**31 B: 3(N+1) labels of about 40 B and a bit
+per packet (2 a period, 4 B per 30 bits), 640 B a period for injections and deliveries, and a
+plan of 800 B a node and 160 B for each of at most 2Z slots; each constant is above its peak
+measured on 64-bit CPython (at most 510 B a period, 760 B a node and 144 B a slot).
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
 
-from multihop.schedule import BROADCAST, FORWARD, MODE_NC, MODE_TR, REVERSE, SERVES, ScheduleConfig, period_events
+from multihop.schedule import FORWARD, MODE_NC, MODE_TR, REVERSE, SERVES, ScheduleConfig, period_events
 from multihop.schedule import nc_schedule, slot_directions, tr_schedule
 
 
@@ -92,6 +95,7 @@ class SimTrace:
     nodes: int = field(init=False)
     z: int = field(init=False)
     period: int = field(init=False)
+    total_slots: int = 0  # slots the run took
     warmup_slots: int = 0  # first slot by which both directions delivered, else the run's length
     dropped: int = 0  # stored packets overwritten before being relayed
     # packets as bit indices (PacketId.alphabet_index), which the injections and
@@ -99,9 +103,6 @@ class SimTrace:
     # slot, and (index, node, slot, latency) per delivery in delivery order
     _injected: dict = field(default_factory=dict)
     _delivered: list = field(default_factory=list)
-    # per slot: ([node, label, ...] sent, [receiver, direction index, label, ...]
-    # stored, deliveries so far), labels as bitmasks; a send clears its SERVES rows
-    _log: list = field(default_factory=list, repr=False)
 
     def __post_init__(self):
         c = self.config
@@ -109,13 +110,9 @@ class SimTrace:
 
     @cached_property
     def schedule(self):
-        """The run's Schedule, built on first read by the replay and trace export, not by measuring.
+        """The run's Schedule, built on first read; the replay, records and trace text do not read it.
         The builders are looked up in this module at call time, where perfbench wraps them."""
         return (tr_schedule if self.mode == MODE_TR else nc_schedule)(self.nodes, self.z)
-
-    @property
-    def total_slots(self):
-        return len(self._log)
 
     def _packet(self, idx):
         d = idx & 1
@@ -134,42 +131,38 @@ class SimTrace:
 
     @cached_property
     def slots(self):
-        """One SlotRecord per timeslot, built from the log on first read."""
+        """One SlotRecord per timeslot, built from a replay on first read."""
         return self._records(1, self.total_slots)
 
     def _replay(self, first, last):
-        """Replay the log from slot 1; per slot first..last yield (slot, sent, [(node, XOR
-        formed)], deliveries before and after it, forward and reverse rows, updated in place)."""
-        rows = fwd, rev = [0] * (self.nodes + 1), [0] * (self.nodes + 1)
-        broadcasters = {n for direction, on_air in self.schedule.sets if direction == BROADCAST for n in on_air}
-        done = 0
-        for t, (sent, touched, delivered) in enumerate(self._log[:last], 1):
-            for d in SERVES[self.schedule.slot(t)[0]]:
-                for n in sent[::2]:
-                    rows[d][n] = 0
-            it = iter(touched)
-            for n, d, mask in zip(it, it, it):
-                rows[d][n] = mask
+        """Re-run the deterministic engine from slot 1; per slot first..last yield (slot, its senders
+        on air, sent, stored, [(node, XOR formed)], deliveries before and after it, (forward, reverse) rows)."""
+        plan = _plan(self.config)
+        on_air = [tuple([n for n, _, _ in senders]) for senders in plan]
+        broadcasters = {n for senders in plan for n, dirs, _ in senders if len(dirs) == 2}
+        rerun, done = SimTrace(self.config), 0  # records what this run recorded
+        for t, (sent, touched, (fwd, rev)) in enumerate(_engine(rerun, plan, last), 1):
+            delivered = len(rerun._delivered)
             if t >= first:
-                xors = [(n, fwd[n] ^ rev[n]) for n in sorted(broadcasters.intersection(touched[::3])) if fwd[n] and rev[n]]
-                yield t, sent, xors, done, delivered, fwd, rev
+                heard = sorted(broadcasters.intersection(touched[::3]))
+                xors = [(n, fwd[n] ^ rev[n]) for n in heard if fwd[n] and rev[n]]
+                yield t, on_air[(t - 1) % self.period], sent, touched, xors, done, delivered, (fwd, rev)
             done = delivered
 
     def _records(self, first, last):
-        """SlotRecords for slots first..last, from one replay of the log."""
+        """SlotRecords for slots first..last, from one replay."""
         packets = {p.alphabet_index: p for p in self.injections}
-        scheduled = [tuple(sorted(on_air)) for _, on_air in self.schedule.sets]
         label = cache(lambda mask: frozenset([packets[i] for i in _bits(mask)]))
         return [
             SlotRecord(
                 slot=t,
-                scheduled=scheduled[(t - 1) % self.period],
+                scheduled=scheduled,
                 transmissions=dict(zip(sent[::2], map(label, sent[1::2]))),
                 xors=tuple([(n, label(mask)) for n, mask in xors]),
                 deliveries=tuple(self.deliveries[done:delivered]),
-                _held=(label, tuple(fwd), tuple(rev)),
+                _held=(label, *map(tuple, rows)),
             )
-            for t, sent, xors, done, delivered, fwd, rev in self._replay(first, last)
+            for t, scheduled, sent, _, xors, done, delivered, rows in self._replay(first, last)
         ]
 
 
@@ -217,48 +210,30 @@ def run_nc_sim(nodes, z, num_periods=None):
     return _simulate(ScheduleConfig(nodes=nodes, z=z, mode=MODE_NC), num_periods)
 
 
-def _simulate(config, num_periods):
-    """Replay a config's schedule with every payload an XOR label of source packets.
-
-    Node 1 injects forward and node N_o reverse at each of their slots. A
-    relay sends the XOR of what it stores for the directions it serves, one
-    for a directed transmitter and both for a broadcast. A receiver strips the
-    components it knows; a relay stores the residual for the next hop and an
-    endpoint delivers it. Store-and-forward labels never meet a second
-    component, so the same rules replay both modes. The schedules are
-    half-duplex, so each transmission is received as soon as it is formed.
-    With no ``num_periods`` a run that finds no steady state within its cap
-    raises ``SteadyStateError``.
-    """
-    if num_periods is not None and (type(num_periods) is not int or num_periods < 1):
-        raise ValueError("num_periods must be None or an int >= 1, not %r" % (num_periods,))
-    nodes, z = config.nodes, config.z
-    # a moving packet crosses a hop per period, so fill and latency each stay under N periods
-    periods = 4 * nodes if num_periods is None else num_periods
-    # the log's bound, at most 2**31 B, checked before allocating (sizes measured on 64-bit CPython):
-    # at most 2Z slots a period, each about 224 B and 3 labels per sender (at most N // Z + 1 of
-    # them), a label about 48 B and a bit per packet so far (2 a period, 4 B per 30 bits)
-    need = periods * 2 * z * (224 + 3 * (nodes // z + 1) * (48 + periods // 3))
-    if need > 2**31:
-        raise ValueError("run too large: its log could take %.3g GB at nodes=%d z=%d periods=%d, over the "
-                         "2.15 GB limit" % (need / 1e9, nodes, z, periods))
-    trace, directions, ends = SimTrace(config), slot_directions(config.mode, z), (1, nodes)
-    period = trace.period
-    # each slot of the period: its transmitters in node order as (node, directions served,
-    # ((receiver, direction of travel, receiver is an endpoint), ...)), lower receiver first
+def _plan(config):
+    """Each slot of a config's period: its transmitters in node order as (node, directions served,
+    ((receiver, direction of travel, receiver is an endpoint), ...)), lower receiver first."""
+    directions, ends = slot_directions(config.mode, config.z), (1, config.nodes)
     plan = [{} for _ in directions]  # first each slot's {transmitter: [its receiver triples]}
-    for s, tx, rx in sorted(zip(*[c.tolist() for c in period_events(config.mode, z, nodes)])):
+    for s, tx, rx in sorted(zip(*[c.tolist() for c in period_events(config.mode, config.z, config.nodes)])):
         plan[s - 1].setdefault(tx, []).append((rx, int(rx < tx), rx in ends))
-    plan = [[(tx, SERVES[d], tuple(hears)) for tx, hears in on_air.items()] for d, on_air in zip(directions, plan)]
+    return [[(tx, SERVES[d], tuple(hears)) for tx, hears in on_air.items()] for d, on_air in zip(directions, plan)]
+
+
+def _engine(trace, plan, slots):
+    """Play a trace's config for slots 1..slots, recording injections, deliveries and drops in
+    ``trace``; per slot yield ([node, label, ...] sent, [receiver, direction index, label, ...] stored,
+    the (forward, reverse) label rows held per node, updated in place). Node 1 injects forward and
+    node N_o reverse at each of their slots. A relay sends the XOR of what it stores for the
+    directions it serves, one for a directed transmitter and both for a broadcast. A receiver strips
+    the components it knows; a relay stores the residual for the next hop and an endpoint delivers
+    it. Store-and-forward labels never meet a second component, so the same rules play both modes.
+    The schedules are half-duplex, so each transmission is received as soon as it is formed."""
+    nodes, period = trace.nodes, trace.period
     stored = ([0] * (nodes + 1), [0] * (nodes + 1))  # forward, reverse label held per node
     known = [0] * (nodes + 1)
     injected, delivered = trace._injected, trace._delivered
     fresh = [0, 1]  # next bit index per direction
-    slots = periods * period
-    # deliveries per direction injected after warmup; warmup stays 0, so every
-    # delivery counts, until both directions have delivered
-    warmup, late = 0, [0, 0]
-
     for t in range(1, slots + 1):
         sent, touched = [], []
         for node, dirs, hears in plan[(t - 1) % period]:
@@ -288,22 +263,48 @@ def _simulate(config, num_periods):
                     if single:
                         idx = residual.bit_length() - 1
                         delivered.append((idx, rx, t, t - injected[idx] + 1))
-                        late[d] += injected[idx] > warmup
                 else:
                     if stored[d][rx]:
                         trace.dropped += 1
                     stored[d][rx] = residual
                     touched += (rx, d, residual)
-        trace._log.append((sent, touched, len(delivered)))
-        if not warmup:
-            if late[0] and late[1]:
+        yield sent, touched, stored
+
+
+def _simulate(config, num_periods):
+    """Drain a config's engine to its steady state, or for ``num_periods``, keeping what it measures.
+    With no ``num_periods`` a run that finds no steady state within its cap raises ``SteadyStateError``."""
+    if num_periods is not None and (type(num_periods) is not int or num_periods < 1):
+        raise ValueError("num_periods must be None or an int >= 1, not %r" % (num_periods,))
+    nodes, z = config.nodes, config.z
+    # a moving packet crosses a hop per period, so fill and latency each stay under N periods
+    periods = 4 * nodes if num_periods is None else num_periods
+    # bytes a run could keep: held forward, held reverse and known rows, injections and deliveries, plan
+    need = 3 * (nodes + 1) * (40 + periods // 3) + 640 * periods + 800 * nodes + 320 * z
+    if need > 2**31:
+        raise ValueError("run too large: it could keep %.3g GB at nodes=%d z=%d periods=%d, over the "
+                         "2.15 GB limit" % (need / 1e9, nodes, z, periods))
+    trace = SimTrace(config)
+    injected, delivered, period = trace._injected, trace._delivered, trace.period
+    slots = periods * period
+    # late deliveries per direction, of packets injected after warmup (0, so all count, until both
+    # directions have delivered); both change only in slots that deliver, which is where ``stop`` is set
+    warmup, late, seen, stop = 0, [0, 0], 0, 0
+    for t, _ in enumerate(_engine(trace, _plan(config), slots), 1):
+        if len(delivered) > seen:
+            for idx, _, _, _ in delivered[seen:]:
+                late[idx & 1] += injected[idx] > warmup
+            seen = len(delivered)
+            if warmup and num_periods is None and min(late) >= 3:
+                stop = max(t, warmup + 2 * period - 1)
+            elif not warmup and late[0] and late[1]:
                 warmup, late = t, [0, 0]
-        elif num_periods is None and min(late) >= 3 and t - warmup + 1 >= 2 * period:
+        if t == stop:
             break
     else:
         if num_periods is None:
             raise SteadyStateError("no steady state within %d slots" % slots)
-    trace.warmup_slots = warmup or slots
+    trace.total_slots, trace.warmup_slots = t, warmup or slots
     return trace
 
 
@@ -342,12 +343,13 @@ def measured_delivery_rate(trace):
 
 
 def _slot_cells(trace, first, last, sep, delivery):
-    """(slot, transmissions, XORs formed, deliveries) text cells for slots first..last, from the
-    replay with no SlotRecord: 'node:label' and ``delivery % (packet, node, latency)`` joined by sep."""
+    """(slot, senders, transmissions, XORs formed, deliveries) text cells for slots first..last,
+    from the replay: senders by ';', 'node:label' and ``delivery % (packet, node, latency)`` by sep."""
     name = cache(lambda mask: label_name([trace._packet(i) for i in _bits(mask)]))
-    for t, sent, xors, done, delivered, _, _ in trace._replay(first, last):
+    for t, scheduled, sent, _, xors, done, delivered, _ in trace._replay(first, last):
         yield (
             t,
+            ";".join(map(str, scheduled)),
             sep.join(["%d:%s" % (n, name(mask)) for n, mask in zip(sent[::2], sent[1::2])]),
             sep.join(["%d:%s" % (n, name(mask)) for n, mask in xors]),
             sep.join([delivery % (name(1 << idx), node, lat) for idx, node, _, lat in trace._delivered[done:delivered]]),
@@ -361,7 +363,7 @@ def render_trace(trace, first=1, last=None):
         raise ValueError("slots %d..%d outside the trace's 1..%d" % (first, last, trace.total_slots))
     head = "%s nodes=%d z=%d period=%d" % (trace.mode, trace.nodes, trace.z, trace.period)
     rows = [("slot", "transmissions", "xor formed", "deliveries")]
-    for t, tx, xors, got in _slot_cells(trace, first, last, " ", "%s->%d L=%d"):
+    for t, _, tx, xors, got in _slot_cells(trace, first, last, " ", "%s->%d L=%d"):
         rows.append((str(t), tx or "-", xors or "-", got or "-"))
     widths = [max(len(r[i]) for r in rows) for i in range(4)]
     lines = [head]
@@ -374,8 +376,5 @@ def render_trace(trace, first=1, last=None):
 
 def trace_to_csv_text(trace):
     """Machine-readable form of a trace; entries within a cell use ';'."""
-    lines = ["slot,scheduled,transmissions,xors,deliveries"]
-    scheduled = [";".join([str(n) for n in sorted(on_air)]) for _, on_air in trace.schedule.sets]
-    for t, tx, xors, got in _slot_cells(trace, 1, trace.total_slots, ";", "%s@%d:L%d"):
-        lines.append("%d,%s,%s,%s,%s" % (t, scheduled[(t - 1) % trace.period], tx, xors, got))
-    return "\n".join(lines) + "\n"
+    cells = _slot_cells(trace, 1, trace.total_slots, ";", "%s@%d:L%d")
+    return "\n".join(["slot,scheduled,transmissions,xors,deliveries"] + ["%d,%s,%s,%s,%s" % c for c in cells]) + "\n"

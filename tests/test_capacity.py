@@ -4,8 +4,10 @@ import hashlib
 import math
 import random
 
+import numpy as np
 import pytest
 
+from multihop import capacity
 from multihop.capacity import (
     capacity_per_slot,
     event_interference,
@@ -272,6 +274,35 @@ class TestOverflowFailsLoudly:
         )  # finite SINRs, but B * log2(1 + SINR) overflows
         with pytest.raises(ValueError, match="stream 1 capacity is inf bps"):
             stream_capacity(geo, routes, radio, MODE_TR, 3)
+
+
+class TestOnAirLimit:
+    """TR's slot rows grow with Z, so a Z whose (slot x node) on-air matrix would pass
+    2**28 entries is refused before the matrix is allocated."""
+
+    @pytest.fixture
+    def no_on_air_matrix(self, monkeypatch):
+        class NoZeros:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def zeros(self, *args, **kwargs):
+                raise AssertionError("the on-air matrix was allocated")
+
+        monkeypatch.setattr(capacity, "np", NoZeros())
+
+    def test_a_z_past_the_limit_is_refused_before_allocating(self, no_on_air_matrix):
+        geo, routes = two_streams(5)  # 12 nodes; TR slot rows are Z + 5
+        with pytest.raises(ValueError) as exc:
+            stream_capacity(geo, routes, RadioConfig(), MODE_TR, 22_369_617)
+        assert str(exc.value) == (
+            "on-air matrix too large: 22369622 slots x 12 nodes at z=22369617, over the 2**28-entry limit"
+        )
+
+    def test_the_largest_z_within_the_limit_is_allocated(self, no_on_air_matrix):
+        geo, routes = two_streams(5)
+        with pytest.raises(AssertionError, match="the on-air matrix was allocated"):
+            stream_capacity(geo, routes, RadioConfig(), MODE_TR, 22_369_616)
 
 
 # sha256 over repr((forward, reverse, capacity)) of every report, taken

@@ -252,7 +252,7 @@ class TestExitCodes:
         monkeypatch.setattr(packetsim, "period_events", refuse)
         assert cli.main(["simulate", "--mode", "NC", "--z", "3", "--hops", "1000000000", "--periods", "1"]) == 1
         assert capsys.readouterr().err == (
-            "error: run too large: its log could take 288 GB at nodes=1000000001 z=3 periods=1, "
+            "error: run too large: it could keep 920 GB at nodes=1000000001 z=3 periods=1, "
             "over the 2.15 GB limit\n"
         )
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -302,7 +303,7 @@ class TestEngineProperties:
 @example(period=(4, 5), mode=MODE_TR)  # TR forward slots 4 and 5 and reverse slot 5 are empty
 def test_the_engine_sends_and_delivers_as_the_reference_addresses(period, mode):
     """The engine plans its slots from ``period_events``. For N 3..64 and
-    Z 2..3N in both modes, every logged send comes from a node the reference
+    Z 2..3N in both modes, every replayed send comes from a node the reference
     puts on air in that slot, and every stored or delivered receiver, with its
     direction of travel, is one a sender of that slot addresses."""
     nodes, z = period
@@ -311,7 +312,7 @@ def test_the_engine_sends_and_delivers_as_the_reference_addresses(period, mode):
     delivered = {}  # slot -> receiving nodes
     for _, node, t, _ in trace._delivered:
         delivered.setdefault(t, set()).add(node)
-    for t, (sent, touched, _) in enumerate(trace._log, 1):
+    for t, _, sent, touched, *_ in trace._replay(1, trace.total_slots):
         direction, on_air = slots[(t - 1) % len(slots)]
         assert set(sent[::2]) <= on_air, t
         addressed = {(r, int(r < n)) for n in sent[::2] for r in receivers(direction, n, nodes)}
@@ -369,24 +370,25 @@ def refuse_to_plan(monkeypatch):
 
 
 class TestSizeLimit:
-    """A run whose log could outgrow 2**31 bytes is rejected before it allocates anything."""
+    """A run that could keep more than 2**31 bytes is rejected before it allocates anything."""
 
     @pytest.mark.parametrize(
         "run,nodes,z,num_periods,message",
         [
             (run_nc_sim, 1_000_000_001, 3, None,
-             "3.2e+19 GB at nodes=1000000001 z=3 periods=4000000004"),
-            (run_tr_sim, 5, 10**9, None, "1.54e+04 GB at nodes=5 z=1000000000 periods=20"),
-            (run_tr_sim, 64, 2, 3960, "2.15 GB at nodes=64 z=2 periods=3960"),
+             "4e+09 GB at nodes=1000000001 z=3 periods=4000000004"),
+            (run_tr_sim, 5, 10**9, None, "320 GB at nodes=5 z=1000000000 periods=20"),
+            (run_tr_sim, 64, 2, 3045992, "2.15 GB at nodes=64 z=2 periods=3045992"),
+            (run_nc_sim, 22740, 3, None, "2.15 GB at nodes=22740 z=3 periods=90960"),
         ],
     )
     def test_an_oversized_run_is_rejected_before_it_is_planned(self, monkeypatch, run, nodes, z, num_periods, message):
         refuse_to_plan(monkeypatch)
         with pytest.raises(ValueError) as exc:
             run(nodes, z, num_periods=num_periods)
-        assert str(exc.value) == "run too large: its log could take %s, over the 2.15 GB limit" % message
+        assert str(exc.value) == "run too large: it could keep %s, over the 2.15 GB limit" % message
 
-    @pytest.mark.parametrize("run,nodes,z,num_periods", [(run_nc_sim, 393, 3, None), (run_tr_sim, 64, 2, 3959)])
+    @pytest.mark.parametrize("run,nodes,z,num_periods", [(run_nc_sim, 22739, 3, None), (run_tr_sim, 64, 2, 3045991)])
     def test_the_largest_runs_within_the_limit_are_planned(self, monkeypatch, run, nodes, z, num_periods):
         refuse_to_plan(monkeypatch)
         with pytest.raises(AssertionError, match="a run was planned"):
@@ -728,6 +730,34 @@ class TestSlotRecordsOnDemand:
             assert (_sha(trace_to_csv_text(trace)), _sha(render_trace(trace))) == digests
         with pytest.raises(AssertionError):
             run_nc_sim(4, 2).slots
+
+
+class TestNoSlotLog:
+    def test_a_default_run_peaks_under_a_megabyte(self):
+        # measuring keeps O(N + periods) state; logging every slot's sends and stores peaked at 4.09 MB
+        tracemalloc.start()
+        try:
+            run_nc_sim(128, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    @pytest.mark.parametrize("mode", [MODE_TR, MODE_NC])
+    def test_reading_a_trace_runs_no_wrapped_function(self, monkeypatch, mode):
+        # perfbench wraps these four; a replay that called them would add to a traced run's counts
+        def read(trace):
+            stored = [rec.stored for rec in trace.slots]
+            return trace.slots, stored, trace.deliveries, render_trace(trace), trace_to_csv_text(trace)
+
+        want, trace = read(simulate(mode, 7, 3)), simulate(mode, 7, 3)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a wrapped function was called")
+
+        for name in ("run_tr_sim", "run_nc_sim", "tr_schedule", "nc_schedule"):
+            monkeypatch.setattr(packetsim, name, refuse)
+        assert read(trace) == want
 
 
 class TestSlotRecordProperties:
