@@ -14,6 +14,7 @@ streams. Two of that table's cells are self-contradicted by the narrative
 around it; they are carried with notes rather than trusted.
 """
 
+import io
 import math
 from dataclasses import asdict, dataclass, fields, replace
 from fractions import Fraction
@@ -164,7 +165,7 @@ def spec_from_config(cfg):
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResultRow:
     streams: int
     mode: str
@@ -256,10 +257,11 @@ def _cell(value):
 
 
 def rows_to_csv_text(rows):
-    lines = [",".join(CSV_COLUMNS)]
+    out = io.StringIO()
+    out.write(",".join(CSV_COLUMNS) + "\n")
     for row in rows:
-        lines.append(",".join(_cell(getattr(row, col)) for col in CSV_COLUMNS))
-    return "\n".join(lines) + "\n"
+        out.write(",".join(_cell(getattr(row, col)) for col in CSV_COLUMNS) + "\n")
+    return out.getvalue()
 
 
 def write_csv(rows, path):
@@ -416,12 +418,10 @@ def compare_table4(rows):
 
 def render_table4(comparison):
     """Fixed-width text report of the comparison."""
-    lines = []
     header = "%-3s %-4s %-4s | %-5s %-5s %-5s | %9s %9s %8s | %s" % (
         "str", "mode", "hops", "Zpub", "Zcal", "match", "Cpub_Mb", "Ccal_Mb", "delta%", "note",
     )
-    lines.append(header)
-    lines.append("-" * len(header))
+    lines = [header, "-" * len(header)]
     for c in comparison.cells:
         lines.append(
             "%-3d %-4s %-4d | %-5d %-5d %-5s | %9.3f %9.3f %+8.1f | %s"

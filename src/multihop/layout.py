@@ -49,6 +49,13 @@ class NodeGeometry:
     def __init__(self, config):
         self.config = config
         n, s = config.nodes_per_stream, config.num_streams
+        # bytes held while building, each constant above the tracemalloc peak measured on 64-bit
+        # CPython: 24 a node pair (difference array and distance matrix; 24.0 measured), 40 a node
+        # (coordinates; at most 37 past 100 nodes) and 64 KiB of ufunc buffers (at most 54 KB)
+        need = 24 * (n * s) ** 2 + 40 * n * s + 2**16
+        if need > 2**31:
+            raise ValueError("layout too large: %d stream(s) x %d nodes could take %d B to build, over the "
+                             "2**31 B limit" % (s, n, need))
         xs = np.arange(n) * config.hop_length_m
         rows = []
         for stream in range(s):

@@ -9,7 +9,7 @@ import sys
 import tempfile
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from multihop import cli, packetsim
@@ -115,6 +115,32 @@ class TestVerbs:
                 assert err == "", argv
                 digest.update(out.encode())
         assert digest.hexdigest() == self.CAPACITY_STDOUT_SHA256[(mode, streams)]
+
+    # sha256 of the ``sweep`` CSV on stdout, taken before the CSV went through one text buffer
+    SWEEP_STDOUT_SHA256 = {
+        (): "03ee667f5a715c850cf19ea4e62175179af04cd6312937eee517a3d0394e95ee",
+        ("--streams", "1"): "23aa4d43c40b959904b612b69ab14102ed431fa82b6e7b5fc76d98ec483acfca",
+    }
+
+    @pytest.mark.parametrize("flags", sorted(SWEEP_STDOUT_SHA256), ids=["default", "streams-1"])
+    def test_sweep_stdout_is_pinned(self, flags, capsys):
+        assert cli.main(["sweep", *flags]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == self.SWEEP_STDOUT_SHA256[flags]
+
+    TABLE4_ALT_STDOUT_SHA256 = "dd8126e9618e12d0c9cd6c2bb218141d9ac959b85101b8cca6918fbc721b88d1"
+    TABLE4_ALT_CSV_SHA256 = "370779fedb66f1004e8278d12de6022d29c342b521a8ef0512f84646bcd86e14"
+
+    def test_table4_alt_stdout_and_csv_are_pinned(self, tmp_path, capsys):
+        assert cli.main(["table4", "--alt"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == self.TABLE4_ALT_STDOUT_SHA256
+        target = tmp_path / "rows.csv"
+        assert cli.main(["table4", "--alt", "--output", str(target)]) == 0
+        assert capsys.readouterr().out == out + "\nwrote 64 rows to %s\n" % target
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == self.TABLE4_ALT_CSV_SHA256
 
 
 class TestExitCodes:
@@ -300,9 +326,13 @@ class TestExitCodes:
 
 
 EDGE_VALUES = ["0", "1", "-1", "nan", "inf", "-inf", "1e308", "1e-300", "", ",", "-", "2,,3"]
-SIZES = st.integers(0, 64).map(str)  # no size limit exists yet, so no draw past 64
+SIZES = st.integers(0, 64).map(str)
+# the layout limit is 9458 nodes over all streams, so rows of 9459 nodes or more are past it at
+# either stream count; 4730 is past it only for two streams, and a layout under the limit could
+# take about 2 GB to build, so neither is drawn (an example below gives 4730 with two streams)
+ROWS = SIZES | st.integers(9459, 9468).map(str)
 VALUES = {  # a flag's in-range values, drawn beside the edge values
-    "nodes_per_stream": SIZES,
+    "nodes_per_stream": ROWS,
     "z_values": SIZES,
     "hop_counts": SIZES,
     "modes": st.sampled_from(["TR", "NC", "TR,NC"]),
@@ -325,11 +355,20 @@ def flag_value(values):
 @st.composite
 def command_lines(draw):
     """A verb with its required flags and up to four more of its own, each
-    value an edge value or an in-range one, as ``--flag value`` or ``--flag=value``."""
+    value an edge value or an in-range one, as ``--flag value`` or ``--flag=value``;
+    and the text of ``out.cfg``: up to three of the verb's keys, a key maybe
+    repeated, the whole maybe led by a byte order mark."""
     verb = draw(st.sampled_from(sorted(OPTIONS)))
     flags = {key: VALUES.get(key, st.just(str(DEFAULTS[key]))) for key in cli.VERB_KEYS[verb]}
-    flags.update(config=st.just("out.cfg"), **OPTIONS[verb])
-    argv = [verb]
+    if verb == "simulate":  # builds no layout, so a row past its limit would be simulated
+        flags["nodes_per_stream"] = SIZES
+    keys = draw(st.lists(st.sampled_from(sorted(flags)), max_size=3))
+    keys += keys[:1] if draw(st.booleans()) else []
+    config = draw(st.sampled_from(["", "\ufeff"])) + "".join(
+        ["%s = %s\n" % (key, draw(flag_value(flags[key]))) for key in keys]
+    )
+    flags.update(OPTIONS[verb])
+    argv = [verb] + (["--config", draw(flag_value(st.just("out.cfg")))] if draw(st.booleans()) else [])
     for name, values in REQUIRED.get(verb, {}).items():
         argv += ["--" + name, draw(flag_value(values))]
     for key in draw(st.lists(st.sampled_from(sorted(flags)), unique=True, max_size=4)):
@@ -339,19 +378,25 @@ def command_lines(draw):
             continue
         value = draw(flag_value(flags[key]))
         argv += ["%s=%s" % (flag, value)] if draw(st.booleans()) else [flag, value]
-    return argv
+    return argv, config
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None, suppress_health_check=[HealthCheck.too_slow])
-@given(argv=command_lines())
-def test_every_command_line_exits_0_or_1_with_one_error_line(argv):
+@given(case=command_lines())
+@example(case=(["layout", "--streams", "1", "--nodes-per-stream", "9459"], ""))
+@example(case=(["sweep", "--config", "out.cfg"], "\ufeffnodes_per_stream = 4730\n"))
+@example(case=(["capacity", "--mode", "NC", "--z", "3", "--config", "out.cfg"], "num_streams = 1\nnum_streams = 2\n"))
+def test_every_command_line_exits_0_or_1_with_one_error_line(case):
     """In process through ``cli.main``: no exception escapes, and an exit of 1
     prints exactly one ``error:`` line, last, after any ``warning:`` lines.
-    Files the run writes land in a fresh directory."""
+    The config file and the files the run writes are in a fresh directory."""
+    argv, config = case
     out, err, cwd = io.StringIO(), io.StringIO(), os.getcwd()
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         os.chdir(tmp)  # not contextlib.chdir, which needs Python 3.11
         try:
+            with open("out.cfg", "w", encoding="utf-8") as fh:
+                fh.write(config)
             code = cli.main(argv)
         finally:
             os.chdir(cwd)

@@ -193,6 +193,14 @@ class TestRunSweep:
             assert row.sim_latency_fwd >= row.hops
             assert row.sim_latency_rev >= row.hops
 
+    def test_rows_are_slotted_and_still_replaceable(self, rows):
+        # a table4 sweep holds 128 rows at its memory peak, so a row keeps no per-instance __dict__
+        row = next(r for r in rows if not r.optimum_flag)
+        assert not hasattr(row, "__dict__")
+        flagged = replace(row, optimum_flag=True)
+        assert flagged.optimum_flag and not row.optimum_flag
+        assert replace(flagged, optimum_flag=False) == row
+
 
 class TestConsistencyCheck:
     def test_corrupted_rate_is_caught(self):

@@ -6,9 +6,11 @@ import warnings
 import numpy as np
 import pytest
 
+from multihop import layout
 from multihop.layout import (
     VALIDATED_MAX_NODES_PER_STREAM,
     LayoutConfig,
+    NodeGeometry,
     build_layout,
     stream_route,
 )
@@ -121,6 +123,35 @@ class TestGeometry:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             build_layout(LayoutConfig(nodes_per_stream=VALIDATED_MAX_NODES_PER_STREAM, num_streams=1))
+
+
+class TestSizeLimit:
+    """A geometry holds about 24 B per node pair while it builds, so one whose build could pass
+    2**31 B is refused before numpy is called. ``LayoutConfig`` itself has no limit: ``simulate``
+    makes one for any row and builds no geometry."""
+
+    @pytest.fixture
+    def no_numpy(self, monkeypatch):
+        class NoNumpy:
+            def __getattr__(self, name):
+                raise AssertionError("numpy was called: np.%s" % name)
+
+        monkeypatch.setattr(layout, "np", NoNumpy())
+
+    @pytest.mark.parametrize("streams,nodes,need", [(1, 9459, 2147788240), (2, 4730, 2148242336)])
+    def test_a_layout_past_the_limit_is_refused_before_allocating(self, no_numpy, streams, nodes, need):
+        config = LayoutConfig(nodes_per_stream=nodes, num_streams=streams)
+        with pytest.raises(ValueError) as exc:
+            NodeGeometry(config)
+        assert str(exc.value) == (
+            "layout too large: %d stream(s) x %d nodes could take %d B to build, over the 2**31 B limit"
+            % (streams, nodes, need)
+        )
+
+    @pytest.mark.parametrize("streams,nodes", [(1, 9458), (2, 4729)])
+    def test_the_largest_layout_within_the_limit_is_allocated(self, no_numpy, streams, nodes):
+        with pytest.raises(AssertionError, match="numpy was called: np.arange"):
+            NodeGeometry(LayoutConfig(nodes_per_stream=nodes, num_streams=streams))
 
 
 class TestStreamRoute:
