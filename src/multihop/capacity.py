@@ -11,25 +11,25 @@ serves each direction in its own half.
 ``stream_capacity`` takes a period's events straight from the schedules' closed
 forms, ``period_events``, as numpy index arrays of slot, transmitter and
 receiver, stream by stream in the order they are made: each stream's forward
-events, then its reverse ones, with route positions mapped onto layout
-indices. One (slot x node) on-air matrix and a received-power
-matrix P = Pt * K * (d_ref / D)^eta give
-every event's SINR: an event's signal is P[rx, tx], and its interference is
-the sum of P[rx] over the nodes on air in its slot, its own transmitter
-masked out. This is the physical interference model of Gupta and Kumar (The
-Capacity of Wireless Networks, IEEE Trans. IT 2000). The interference sums
-are taken over blocks of events, each a gather of about 128 KB of P's rows,
-so a call's memory does not grow with events x nodes; each event's row and
-its sum are the same in any block and any order. P is built in place in a
-copy of the layout's distance matrix D. It depends only on the layout and
-the radio, so it is built once per layout and radio, together with the node
-pairs closer than the reference distance, and reused read-only by every
-later call with that geometry object and an equal radio. Each direction's
-bottleneck is the Shannon rate of the lowest SINR of its run of events. A
-report keeps its call's radio, SINRs and (stream, nodes, TR phase) per
-stream; its cached ``events`` rebuilds the event rows from those closed
-forms and sorts them, with their SINRs, into ``reception_events`` order, as
-each error message picks its first offending event in that order.
+events, then its reverse ones, with route positions mapped onto layout indices.
+One (slot x node) on-air matrix, inverted in place after the clash check, and a
+received-power matrix P = Pt * K * (d_ref / D)^eta give every event's SINR: an
+event's signal is P[rx, tx], and its interference is the sum of P[rx] over the
+nodes on air in its slot, the off-air nodes' powers zeroed rather than
+multiplied by a mask and its own transmitter masked out. This is the physical
+interference model of Gupta and Kumar (The Capacity of Wireless Networks, IEEE
+Trans. IT 2000). The interference sums are taken over blocks of events, each a
+gather of about 128 KB of P's rows, so a call's memory does not grow with
+events x nodes; each event's row and its sum are the same in any block and any
+order. P is built in place in a copy of the layout's distance matrix D. It
+depends only on the layout and the radio, so it is built once per layout and
+radio, together with the node pairs closer than the reference distance, and
+reused read-only by every later call with that geometry object and an equal
+radio. Each direction's bottleneck is the Shannon rate of the lowest SINR of
+its run of events. A report keeps its call's radio, SINRs and (stream, nodes,
+TR phase) per stream; its cached ``events`` rebuilds the event rows from those
+closed forms and sorts them, with their SINRs, into ``reception_events`` order,
+as each error message picks its first offending event in that order.
 
 The scalar reference the array path is tested against is ``reception_events``,
 which reads the same sorted rows as the ``events`` view, and ``event_sinr``'s
@@ -261,15 +261,16 @@ def stream_capacity(geometry, routes, radio, mode, z, tr_phase="same"):
     if clash.any():
         _, (s, _, t, r) = _first(clash, _ordered(mode, z, streams))
         raise ValueError("slot %d schedules node %d to receive from node %d while transmitting" % (s, r, t))
+    off_air = np.logical_not(on_air, out=on_air)  # in place: no second (slot x node) matrix
     heard = np.empty(len(rx_at))  # interference per event, summed one block of events at a time
     step = max(1, _BLOCK_ENTRIES // len(power))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # non-finite SINRs are raised below
         for s in (slice(i, i + step) for i in range(0, len(rx_at), step)):
-            listening = on_air[slot[s]]  # (event, node): node on air in the event's slot
-            if close is not None and (close[rx_at[s]] & listening).any():
-                raise _too_close(geometry, _ordered(mode, z, streams), tx_at, rx_at, on_air, close)
+            deaf = off_air[slot[s]]  # (event, node): node off air in the event's slot
+            if close is not None and (close[rx_at[s]] > deaf).any():
+                raise _too_close(geometry, _ordered(mode, z, streams), tx_at, rx_at, ~off_air, close)
             block = power[rx_at[s]]
-            block *= listening
+            np.putmask(block, deaf, 0.0)  # zeroed, not multiplied by a mask: an off-air inf adds nothing
             block[np.arange(len(block)), tx_at[s]] = 0.0  # masked, not subtracted: keeps small interference exact
             heard[s] = block.sum(axis=1)
             del block  # before the next block is gathered

@@ -10,14 +10,16 @@ the length instead.
 
 Inside the engine a label is an int with bit ``PacketId.alphabet_index`` set per component: XOR
 is ``^``, a strip is ``& ~known`` and a lone component has ``r & (r - 1) == 0``. The engine is
-one generator of per-slot sends and stores. A run drains it and keeps the held and known rows,
-the plan, and packets as bit indices: no slot log, so measuring builds no ``PacketId``,
-``Delivery`` or ``SlotRecord`` (``injections``, ``deliveries`` and ``slots`` build them on first
-read). Records and trace text re-run the deterministic engine from slot 1. A run is refused
-before it is planned if what it keeps could pass 2**31 B: 3(N+1) labels of about 40 B and a bit
-per packet (2 a period, 4 B per 30 bits), 640 B a period for injections and deliveries, and a
-plan of 800 B a node and 160 B for each of at most 2Z slots; each constant is above its peak
-measured on 64-bit CPython (at most 510 B a period, 760 B a node and 144 B a slot).
+one generator of per-slot sends and stores. Its plan lists only the slots that have a sender,
+and it steps from one to the next, so a run's time does not grow with a period's empty slots.
+A run drains it and keeps the held and known rows, the plan, and packets as bit indices: no slot
+log, so measuring builds no ``PacketId``, ``Delivery`` or ``SlotRecord`` (``injections``,
+``deliveries`` and ``slots`` build them on first read). Records and trace text re-run the
+deterministic engine from slot 1 and fill in the empty slots. A run is refused before it is
+planned if what it keeps could pass 2**31 B: 3(N+1) labels of about 40 B and a bit per packet
+(2 a period, 4 B per 30 bits), 640 B a period for injections and deliveries, and a plan of 800 B
+a node and 160 B for each of at most 2Z slots; each constant is above its peak measured on 64-bit
+CPython (at most 510 B a period, 760 B a node and, when every slot was planned, 144 B a slot).
 """
 
 from dataclasses import dataclass, field
@@ -138,15 +140,20 @@ class SimTrace:
         """Re-run the deterministic engine from slot 1; per slot first..last yield (slot, its senders
         on air, sent, stored, [(node, XOR formed)], deliveries before and after it, (forward, reverse) rows)."""
         plan = _plan(self.config)
-        on_air = [tuple([n for n, _, _ in senders]) for senders in plan]
-        broadcasters = {n for senders in plan for n, dirs, _ in senders if len(dirs) == 2}
-        rerun, done = SimTrace(self.config), 0  # records what this run recorded
-        for t, (sent, touched, (fwd, rev)) in enumerate(_engine(rerun, plan, last), 1):
+        on_air = {s: tuple([n for n, _, _ in senders]) for s, senders in plan.items()}
+        broadcasters = {n for senders in plan.values() for n, dirs, _ in senders if len(dirs) == 2}
+        rerun, done = SimTrace(self.config, total_slots=last), 0  # records what this run recorded
+        rows = ([0] * (self.nodes + 1), [0] * (self.nodes + 1))  # forward, reverse label held per node
+        steps = _engine(rerun, plan, rows)
+        for t in range(1, last + 1):  # every slot: an empty one sends nothing and keeps the rows
+            scheduled = on_air.get((t - 1) % self.period + 1, ())
+            _, sent, touched = next(steps) if scheduled else (t, (), ())
             delivered = len(rerun._delivered)
             if t >= first:
+                fwd, rev = rows
                 heard = sorted(broadcasters.intersection(touched[::3]))
                 xors = [(n, fwd[n] ^ rev[n]) for n in heard if fwd[n] and rev[n]]
-                yield t, on_air[(t - 1) % self.period], sent, touched, xors, done, delivered, (fwd, rev)
+                yield t, scheduled, sent, touched, xors, done, delivered, rows
             done = delivered
 
     def _records(self, first, last):
@@ -211,64 +218,72 @@ def run_nc_sim(nodes, z, num_periods=None):
 
 
 def _plan(config):
-    """Each slot of a config's period: its transmitters in node order as (node, directions served,
-    ((receiver, direction of travel, receiver is an endpoint), ...)), lower receiver first."""
+    """{slot of the period: its transmitters} in slot order, for the slots that have any: each in node
+    order as (node, directions served, ((receiver, direction of travel, receiver is an endpoint), ...)),
+    lower receiver first."""
     directions, ends = slot_directions(config.mode, config.z), (1, config.nodes)
-    plan = [{} for _ in directions]  # first each slot's {transmitter: [its receiver triples]}
+    plan = {}  # first each occupied slot's {transmitter: [its receiver triples]}
     for s, tx, rx in sorted(zip(*[c.tolist() for c in period_events(config.mode, config.z, config.nodes)])):
-        plan[s - 1].setdefault(tx, []).append((rx, int(rx < tx), rx in ends))
-    return [[(tx, SERVES[d], tuple(hears)) for tx, hears in on_air.items()] for d, on_air in zip(directions, plan)]
+        if s not in plan:
+            plan[s] = {}
+        plan[s].setdefault(tx, []).append((rx, int(rx < tx), rx in ends))
+    return {s: [(tx, SERVES[directions[s - 1]], tuple(hears)) for tx, hears in txs.items()] for s, txs in plan.items()}
 
 
-def _engine(trace, plan, slots):
-    """Play a trace's config for slots 1..slots, recording injections, deliveries and drops in
-    ``trace``; per slot yield ([node, label, ...] sent, [receiver, direction index, label, ...] stored,
-    the (forward, reverse) label rows held per node, updated in place). Node 1 injects forward and
-    node N_o reverse at each of their slots. A relay sends the XOR of what it stores for the
-    directions it serves, one for a directed transmitter and both for a broadcast. A receiver strips
-    the components it knows; a relay stores the residual for the next hop and an endpoint delivers
-    it. Store-and-forward labels never meet a second component, so the same rules play both modes.
-    The schedules are half-duplex, so each transmission is received as soon as it is formed."""
+def _engine(trace, plan, stored):
+    """Play a trace's config for slots 1..``trace.total_slots``, which the caller may lower as the run
+    goes, recording injections, deliveries and drops in ``trace`` and holding labels in ``stored``, the
+    (forward, reverse) label rows per node, all 0 at first and updated in place. Only the plan's slots
+    act, so it steps from one to the next; per such slot it yields (slot, [node, label, ...] sent,
+    [receiver, direction index, label, ...] stored). Node 1 injects forward and node N_o reverse at each
+    of their slots. A relay sends the XOR of what it stores for the directions it serves, one for a
+    directed transmitter and both for a broadcast. A receiver strips the components it knows; a relay
+    stores the residual for the next hop and an endpoint delivers it. Store-and-forward labels never
+    meet a second component, so the same rules play both modes. The schedules are half-duplex, so each
+    transmission is received as soon as it is formed."""
     nodes, period = trace.nodes, trace.period
-    stored = ([0] * (nodes + 1), [0] * (nodes + 1))  # forward, reverse label held per node
     known = [0] * (nodes + 1)
     injected, delivered = trace._injected, trace._delivered
     fresh = [0, 1]  # next bit index per direction
-    for t in range(1, slots + 1):
-        sent, touched = [], []
-        for node, dirs, hears in plan[(t - 1) % period]:
-            if node == 1 or node == nodes:
-                d = 0 if node == 1 else 1
-                injected[fresh[d]] = t
-                label = 1 << fresh[d]
-                fresh[d] += 2
-                known[node] |= label
-            else:
-                label = held = 0
-                for d in dirs:
-                    label ^= stored[d][node]
-                    held |= stored[d][node]
-                    stored[d][node] = 0
-                if not held:
-                    continue  # scheduled but nothing to relay yet
-            sent += (node, label)
-            for rx, d, endpoint in hears:
-                residual = label & ~known[rx]
-                if not residual:
-                    continue
-                single = not residual & (residual - 1)
-                if single:
-                    known[rx] |= residual
-                if endpoint:
-                    if single:
-                        idx = residual.bit_length() - 1
-                        delivered.append((idx, rx, t, t - injected[idx] + 1))
+    for start in range(0, trace.total_slots, period):
+        for s, senders in plan.items():
+            t = start + s
+            if t > trace.total_slots:
+                return
+            sent, touched = [], []
+            for node, dirs, hears in senders:
+                if node == 1 or node == nodes:
+                    d = 0 if node == 1 else 1
+                    injected[fresh[d]] = t
+                    label = 1 << fresh[d]
+                    fresh[d] += 2
+                    known[node] |= label
                 else:
-                    if stored[d][rx]:
-                        trace.dropped += 1
-                    stored[d][rx] = residual
-                    touched += (rx, d, residual)
-        yield sent, touched, stored
+                    label = held = 0
+                    for d in dirs:
+                        label ^= stored[d][node]
+                        held |= stored[d][node]
+                        stored[d][node] = 0
+                    if not held:
+                        continue  # scheduled but nothing to relay yet
+                sent += (node, label)
+                for rx, d, endpoint in hears:
+                    residual = label & ~known[rx]
+                    if not residual:
+                        continue
+                    single = not residual & (residual - 1)
+                    if single:
+                        known[rx] |= residual
+                    if endpoint:
+                        if single:
+                            idx = residual.bit_length() - 1
+                            delivered.append((idx, rx, t, t - injected[idx] + 1))
+                    else:
+                        if stored[d][rx]:
+                            trace.dropped += 1
+                        stored[d][rx] = residual
+                        touched += (rx, d, residual)
+            yield t, sent, touched
 
 
 def _simulate(config, num_periods):
@@ -286,25 +301,23 @@ def _simulate(config, num_periods):
                          "2.15 GB limit" % (need / 1e9, nodes, z, periods))
     trace = SimTrace(config)
     injected, delivered, period = trace._injected, trace._delivered, trace.period
-    slots = periods * period
+    slots = trace.total_slots = periods * period
     # late deliveries per direction, of packets injected after warmup (0, so all count, until both
     # directions have delivered); both change only in slots that deliver, which is where ``stop`` is set
     warmup, late, seen, stop = 0, [0, 0], 0, 0
-    for t, _ in enumerate(_engine(trace, _plan(config), slots), 1):
+    for t, _, _ in _engine(trace, _plan(config), ([0] * (nodes + 1), [0] * (nodes + 1))):
         if len(delivered) > seen:
             for idx, _, _, _ in delivered[seen:]:
                 late[idx & 1] += injected[idx] > warmup
             seen = len(delivered)
             if warmup and num_periods is None and min(late) >= 3:
                 stop = max(t, warmup + 2 * period - 1)
+                trace.total_slots = min(stop, slots)  # the engine plays no slot past it, empty or not
             elif not warmup and late[0] and late[1]:
                 warmup, late = t, [0, 0]
-        if t == stop:
-            break
-    else:
-        if num_periods is None:
-            raise SteadyStateError("no steady state within %d slots" % slots)
-    trace.total_slots, trace.warmup_slots = t, warmup or slots
+    if num_periods is None and not 0 < stop <= slots:
+        raise SteadyStateError("no steady state within %d slots" % slots)
+    trace.warmup_slots = warmup or slots
     return trace
 
 

@@ -276,6 +276,25 @@ class TestOverflowFailsLoudly:
             stream_capacity(geo, routes, radio, MODE_TR, 3)
 
 
+class TestOffAirOverflow:
+    """Rows 0.5 m apart: the power between facing nodes overflows to inf, but a
+    node is never on the air while its facing node receives. Off-air powers are
+    zeroed, not multiplied by a mask (inf x 0 is nan), so the array path gives
+    the finite SINRs of the scalar reference."""
+
+    @pytest.mark.parametrize("mode", [MODE_TR, MODE_NC])
+    def test_an_infinite_power_off_the_air_adds_nothing(self, mode):
+        geo = build_layout(LayoutConfig(nodes_per_stream=5, num_streams=2, row_separation_m=0.5))
+        routes = {s: stream_route(geo, s, 1, 5) for s in (1, 2)}
+        radio = RadioConfig(tx_power_w=1e300, tx_gain=7e11)
+        assert np.isinf(capacity._received_power(geo, radio)[0]).any()
+        reports = stream_capacity(geo, routes, radio, mode, 3)
+        got = [(ev, v) for rep in reports.values() for ev, v, _ in rep.events]
+        want = [event_sinr(ev, geo, routes, radio) for ev, _ in got]
+        assert len(got) == 16 and min(want) == pytest.approx(0.8889, abs=1e-4)
+        assert all(v == pytest.approx(w, rel=1e-9) for (_, v), w in zip(got, want))
+
+
 class TestOnAirLimit:
     """TR's slot rows grow with Z, so a Z whose (slot x node) on-air matrix would pass
     2**28 entries is refused before the matrix is allocated."""

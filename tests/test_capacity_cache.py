@@ -114,6 +114,21 @@ def test_a_call_peaks_below_an_events_by_nodes_matrix(power_builds, mode):
     assert cold < 800_000 and warm < 400_000, peaks
 
 
+def test_a_warm_call_gathers_no_cast_buffer():
+    """A warm TR Z 16 call on two 100-node rows holds its gathered power rows,
+    their off-air mask and its own arrays, about 170 KB; multiplying the rows by
+    a bool mask also took a 64 KB float copy of it and peaked at 235 KB."""
+    geo, routes = rows(100)
+    stream_capacity(geo, routes, RADIO_A, MODE_TR, 2)  # builds the received-power matrix
+    tracemalloc.start()
+    try:
+        stream_capacity(geo, routes, RADIO_A, MODE_TR, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200_000, peak
+
+
 def scalar_error(geo, routes, radio, mode, z, phase):
     """The message ``event_sinr`` raises on the period's events, or None."""
     try:

@@ -3,6 +3,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import os
 import subprocess
 import sys
@@ -207,6 +208,12 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "SINR is nan" in err and "mismatch" not in err
 
+    def test_an_infinite_power_off_the_air_is_no_overflow(self, capsys):
+        # rows 0.5 m apart: facing nodes' power is inf, but they are never on air together
+        assert cli.main(["capacity", "--mode", "TR", "--z", "3", "--hops", "4", "--row-separation-m", "0.5",
+                         "--tx-power-w", "1e300", "--tx-gain", "7e11"]) == 0
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize(
         "verb",
         [["layout"], ["capacity", "--mode", "TR", "--z", "3"], ["sweep"]],
@@ -348,36 +355,36 @@ OPTIONS = {  # each verb's flags beyond --config and its config keys; None marks
 REQUIRED = {verb: {"mode": st.sampled_from(["TR", "NC"]), "z": SIZES} for verb in ("capacity", "simulate")}
 
 
-def flag_value(values):
-    return st.sampled_from(EDGE_VALUES) | values
-
-
 @st.composite
 def command_lines(draw):
-    """A verb with its required flags and up to four more of its own, each
-    value an edge value or an in-range one, as ``--flag value`` or ``--flag=value``;
-    and the text of ``out.cfg``: up to three of the verb's keys, a key maybe
-    repeated, the whole maybe led by a byte order mark."""
+    """A verb with its required flags and up to four more of its own, each as
+    ``--flag value`` or ``--flag=value``, and the text of ``out.cfg``: up to
+    three of the verb's keys, a key maybe repeated, the whole maybe led by a
+    byte order mark. At most one value, of a flag or a key, is an edge value
+    and the others are in range, so a line can get past its first bad value."""
     verb = draw(st.sampled_from(sorted(OPTIONS)))
     flags = {key: VALUES.get(key, st.just(str(DEFAULTS[key]))) for key in cli.VERB_KEYS[verb]}
     if verb == "simulate":  # builds no layout, so a row past its limit would be simulated
         flags["nodes_per_stream"] = SIZES
+    # a line draws at most 11 values: 4 keys, --config, 2 required flags and 4 more
+    drawn, edge = itertools.count(), draw(st.none() | st.integers(0, 10))  # which one is an edge value
+
+    def value(values):
+        return draw(st.sampled_from(EDGE_VALUES) if next(drawn) == edge else values)
+
     keys = draw(st.lists(st.sampled_from(sorted(flags)), max_size=3))
     keys += keys[:1] if draw(st.booleans()) else []
-    config = draw(st.sampled_from(["", "\ufeff"])) + "".join(
-        ["%s = %s\n" % (key, draw(flag_value(flags[key]))) for key in keys]
-    )
+    config = draw(st.sampled_from(["", "\ufeff"])) + "".join(["%s = %s\n" % (key, value(flags[key])) for key in keys])
     flags.update(OPTIONS[verb])
-    argv = [verb] + (["--config", draw(flag_value(st.just("out.cfg")))] if draw(st.booleans()) else [])
+    argv = [verb] + (["--config", value(st.just("out.cfg"))] if draw(st.booleans()) else [])
     for name, values in REQUIRED.get(verb, {}).items():
-        argv += ["--" + name, draw(flag_value(values))]
+        argv += ["--" + name, value(values)]
     for key in draw(st.lists(st.sampled_from(sorted(flags)), unique=True, max_size=4)):
         flag = "--" + cli._FLAG_ALIASES.get(key, key).replace("_", "-")
         if flags[key] is None:
             argv.append(flag)
             continue
-        value = draw(flag_value(flags[key]))
-        argv += ["%s=%s" % (flag, value)] if draw(st.booleans()) else [flag, value]
+        argv += ["%s=%s" % (flag, value(flags[key]))] if draw(st.booleans()) else [flag, value(flags[key])]
     return argv, config
 
 

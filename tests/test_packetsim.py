@@ -743,6 +743,19 @@ class TestNoSlotLog:
             tracemalloc.stop()
         assert peak < 1_000_000
 
+    def test_a_period_of_empty_slots_peaks_under_10_mb(self):
+        # TR N 5, Z 200,000: 8 of the 400,000 slots have a sender. Planning and
+        # visiting every slot peaked at 57.8 MB; what is left is the O(Z) list of
+        # the period's slot directions
+        tracemalloc.start()
+        try:
+            trace = run_tr_sim(5, 200_000, num_periods=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (trace.total_slots, len(trace._delivered)) == (400_000, 2)
+        assert peak < 10_000_000, peak
+
     @pytest.mark.parametrize("mode", [MODE_TR, MODE_NC])
     def test_reading_a_trace_runs_no_wrapped_function(self, monkeypatch, mode):
         # perfbench wraps these four; a replay that called them would add to a traced run's counts
