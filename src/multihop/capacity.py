@@ -4,9 +4,9 @@ Every transmission a schedule produces is heard somewhere; each addressed
 (receiver, transmitter) pair in a slot is one reception event, and every other
 node transmitting in that slot, in either stream, interferes with it. A
 direction's bottleneck is the lowest rate over its events, and capacity per
-timeslot divides the two bottlenecks by the schedule period: once by Z when
-coded relaying moves both directions per cycle, once by 2Z when the cycle
-serves each direction in its own half.
+timeslot divides the two bottlenecks' sum by ``schedule.period``: Z when coded
+relaying moves both directions per cycle, 2Z when the cycle serves each
+direction in its own half.
 
 ``stream_capacity`` takes a period's events straight from the schedules' closed
 forms, ``period_events``, as numpy index arrays of slot, transmitter and
@@ -46,12 +46,12 @@ import numpy as np
 from multihop.radio import REFERENCE_DISTANCE_M, noise_power, path_constant, received_power, shannon_rate, sinr
 from multihop.schedule import (
     FORWARD,
-    MODE_NC,
     MODE_TR,
     REVERSE,
     TR_PHASES,
     ScheduleConfig,
     nc_schedule,  # with tr_schedule, unused here: perfbench/tracer.py wraps both at this module
+    period,
     period_events,
     tr_schedule,
 )
@@ -175,12 +175,8 @@ def event_sinr(event, geometry, routes, radio):
 
 
 def capacity_per_slot(mode, z, forward_bps, reverse_bps):
-    """Fold the two directional bottlenecks into capacity per timeslot."""
-    if mode == MODE_NC:
-        return (forward_bps + reverse_bps) / z
-    if mode == MODE_TR:
-        return (forward_bps + reverse_bps) / (2 * z)
-    raise ValueError("unknown mode %r" % (mode,))
+    """Fold the two directional bottlenecks into capacity per timeslot: both over the mode's period."""
+    return (forward_bps + reverse_bps) / period(mode, z)
 
 
 def _first(bad, ordered):

@@ -11,23 +11,25 @@ the length instead.
 Inside the engine a label is an int with bit ``PacketId.alphabet_index`` set per component: XOR
 is ``^``, a strip is ``& ~known`` and a lone component has ``r & (r - 1) == 0``. The engine is
 one generator of per-slot sends and stores. Its plan lists only the slots that have a sender,
-and it steps from one to the next, so a run's time does not grow with a period's empty slots.
+and it steps from one to the next, so neither a run's time nor its memory grows with a period's
+empty slots.
 A run drains it and keeps the held and known rows, the plan, and packets as bit indices: no slot
 log, so measuring builds no ``PacketId``, ``Delivery`` or ``SlotRecord`` (``injections``,
 ``deliveries`` and ``slots`` build them on first read). Records and trace text re-run the
 deterministic engine from slot 1 and fill in the empty slots. A run is refused before it is
 planned if what it keeps could pass 2**31 B: 3(N+1) labels of about 40 B and a bit per packet
 (2 a period, 4 B per 30 bits), 640 B a period for injections and deliveries, and a plan of 800 B
-a node and 160 B for each of at most 2Z slots; each constant is above its peak measured on 64-bit
-CPython (at most 510 B a period, 760 B a node and, when every slot was planned, 144 B a slot).
+a node; each constant is above its peak measured on 64-bit CPython (at most 510 B a period and
+760 B a node). Its 320 B per Z is left from a plan with an entry per slot and checks no memory a
+run keeps; it stays so that the accepted sizes and the refusal messages do not move.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
 
-from multihop.schedule import FORWARD, MODE_NC, MODE_TR, REVERSE, SERVES, ScheduleConfig, period_events
-from multihop.schedule import nc_schedule, slot_directions, tr_schedule
+from multihop.schedule import FORWARD, MODE_NC, MODE_TR, REVERSE, ScheduleConfig, period, period_events
+from multihop.schedule import nc_schedule, tr_schedule  # unused here: perfbench/tracer.py wraps both at this module
 
 
 class SteadyStateError(RuntimeError):
@@ -108,13 +110,7 @@ class SimTrace:
 
     def __post_init__(self):
         c = self.config
-        self.mode, self.nodes, self.z, self.period = c.mode, c.nodes, c.z, len(slot_directions(c.mode, c.z))
-
-    @cached_property
-    def schedule(self):
-        """The run's Schedule, built on first read; the replay, records and trace text do not read it.
-        The builders are looked up in this module at call time, where perfbench wraps them."""
-        return (tr_schedule if self.mode == MODE_TR else nc_schedule)(self.nodes, self.z)
+        self.mode, self.nodes, self.z, self.period = c.mode, c.nodes, c.z, period(c.mode, c.z)
 
     def _packet(self, idx):
         d = idx & 1
@@ -140,8 +136,8 @@ class SimTrace:
         """Re-run the deterministic engine from slot 1; per slot first..last yield (slot, its senders
         on air, sent, stored, [(node, XOR formed)], deliveries before and after it, (forward, reverse) rows)."""
         plan = _plan(self.config)
-        on_air = {s: tuple([n for n, _, _ in senders]) for s, senders in plan.items()}
-        broadcasters = {n for senders in plan.values() for n, dirs, _ in senders if len(dirs) == 2}
+        on_air = {s: tuple([n for n, _ in senders]) for s, senders in plan.items()}
+        broadcasters = {n for senders in plan.values() for n, hears in senders if len(hears) == 2}
         rerun, done = SimTrace(self.config, total_slots=last), 0  # records what this run recorded
         rows = ([0] * (self.nodes + 1), [0] * (self.nodes + 1))  # forward, reverse label held per node
         steps = _engine(rerun, plan, rows)
@@ -219,15 +215,15 @@ def run_nc_sim(nodes, z, num_periods=None):
 
 def _plan(config):
     """{slot of the period: its transmitters} in slot order, for the slots that have any: each in node
-    order as (node, directions served, ((receiver, direction of travel, receiver is an endpoint), ...)),
-    lower receiver first."""
-    directions, ends = slot_directions(config.mode, config.z), (1, config.nodes)
+    order as (node, ((receiver, direction of travel, receiver is an endpoint), ...)), lower receiver
+    first. A sender serves the directions its receivers' hops travel, so a broadcaster serves both."""
+    ends = (1, config.nodes)
     plan = {}  # first each occupied slot's {transmitter: [its receiver triples]}
     for s, tx, rx in sorted(zip(*[c.tolist() for c in period_events(config.mode, config.z, config.nodes)])):
         if s not in plan:
             plan[s] = {}
         plan[s].setdefault(tx, []).append((rx, int(rx < tx), rx in ends))
-    return {s: [(tx, SERVES[directions[s - 1]], tuple(hears)) for tx, hears in txs.items()] for s, txs in plan.items()}
+    return {s: [(tx, tuple(hears)) for tx, hears in txs.items()] for s, txs in plan.items()}
 
 
 def _engine(trace, plan, stored):
@@ -236,11 +232,11 @@ def _engine(trace, plan, stored):
     (forward, reverse) label rows per node, all 0 at first and updated in place. Only the plan's slots
     act, so it steps from one to the next; per such slot it yields (slot, [node, label, ...] sent,
     [receiver, direction index, label, ...] stored). Node 1 injects forward and node N_o reverse at each
-    of their slots. A relay sends the XOR of what it stores for the directions it serves, one for a
-    directed transmitter and both for a broadcast. A receiver strips the components it knows; a relay
-    stores the residual for the next hop and an endpoint delivers it. Store-and-forward labels never
-    meet a second component, so the same rules play both modes. The schedules are half-duplex, so each
-    transmission is received as soon as it is formed."""
+    of their slots. A relay sends the XOR of what it stores for its receivers' directions of travel,
+    one for a directed transmitter and both for a broadcaster. A receiver strips the components it
+    knows; a relay stores the residual for the next hop and an endpoint delivers it. Store-and-forward
+    labels never meet a second component, so the same rules play both modes. The schedules are
+    half-duplex, so each transmission is received as soon as it is formed."""
     nodes, period = trace.nodes, trace.period
     known = [0] * (nodes + 1)
     injected, delivered = trace._injected, trace._delivered
@@ -251,7 +247,7 @@ def _engine(trace, plan, stored):
             if t > trace.total_slots:
                 return
             sent, touched = [], []
-            for node, dirs, hears in senders:
+            for node, hears in senders:
                 if node == 1 or node == nodes:
                     d = 0 if node == 1 else 1
                     injected[fresh[d]] = t
@@ -260,7 +256,7 @@ def _engine(trace, plan, stored):
                     known[node] |= label
                 else:
                     label = held = 0
-                    for d in dirs:
+                    for _, d, _ in hears:  # the directions its receivers' hops travel
                         label ^= stored[d][node]
                         held |= stored[d][node]
                         stored[d][node] = 0
@@ -294,7 +290,8 @@ def _simulate(config, num_periods):
     nodes, z = config.nodes, config.z
     # a moving packet crosses a hop per period, so fill and latency each stay under N periods
     periods = 4 * nodes if num_periods is None else num_periods
-    # bytes a run could keep: held forward, held reverse and known rows, injections and deliveries, plan
+    # bytes a run could keep: held forward, held reverse and known rows, injections and deliveries,
+    # plan; the Z term is left from a plan with an entry per slot (see the module docstring)
     need = 3 * (nodes + 1) * (40 + periods // 3) + 640 * periods + 800 * nodes + 320 * z
     if need > 2**31:
         raise ValueError("run too large: it could keep %.3g GB at nodes=%d z=%d periods=%d, over the "

@@ -9,9 +9,10 @@ all sending one way; ``Schedule.sets[i]`` is slot i + 1's (direction, frozenset
 of nodes on air). Both functions first validate a ``ScheduleConfig`` of their mode.
 
 ``period_events``, a stream's (slot, transmitter, receiver) columns, is the one
-encoding of the slot rules and ``slot_directions`` of the period: both engines
-read them, and the builders group the columns by slot, so empty slots have a
-direction. ``tests/reference.py`` holds the independent set forms and addressing.
+encoding of the slot rules and ``period`` of the period's length; both engines
+read them. A sender serves the directions its receivers' hops travel, so only the
+builders write a slot's direction. ``tests/reference.py`` holds the independent
+set forms and addressing.
 """
 
 from dataclasses import dataclass
@@ -21,7 +22,6 @@ import numpy as np
 FORWARD = "forward"
 REVERSE = "reverse"
 BROADCAST = "broadcast"
-SERVES = {FORWARD: (0,), REVERSE: (1,), BROADCAST: (0, 1)}  # travel directions a sender carries, 0 forward
 
 MODE_TR = "TR"
 MODE_NC = "NC"
@@ -81,21 +81,25 @@ def period_events(mode, z, nodes, opposite=False):
     return slot, tx, rx
 
 
-def slot_directions(mode, z):
-    """The direction of each slot of a mode's period: z forward then z reverse
-    slots under TR, z broadcast slots under NC. Its length is the period."""
-    return [BROADCAST] * z if mode == MODE_NC else [FORWARD] * z + [REVERSE] * z
+def period(mode, z):
+    """Slots in a mode's period: Z under NC, 2Z under TR (Z forward, then Z reverse)."""
+    if mode == MODE_NC:
+        return z
+    if mode == MODE_TR:
+        return 2 * z
+    raise ValueError("unknown mode %r" % (mode,))
 
 
 def _grouped(config):
-    """The schedule whose slot s sends in ``slot_directions`` entry s with the
-    transmitters ``period_events`` puts in slot s; a slot may be empty."""
-    directions = slot_directions(config.mode, config.z)
-    slot, tx, _ = period_events(config.mode, config.z, config.nodes)
-    on_air = [[] for _ in directions]
+    """The schedule whose slot s holds the transmitters ``period_events`` puts in slot s, maybe
+    none; the only place a slot's direction is written."""
+    mode, z = config.mode, config.z
+    slot, tx, _ = period_events(mode, z, config.nodes)
+    on_air = [[] for _ in range(period(mode, z))]
     for s, t in zip(slot.tolist(), tx.tolist()):
         on_air[s - 1].append(t)
-    return Schedule(config=config, sets=tuple([(d, frozenset(n)) for d, n in zip(directions, on_air)]))
+    send = (FORWARD, REVERSE) if mode == MODE_TR else (BROADCAST, BROADCAST)  # in slots 1..Z, then Z+1..2Z
+    return Schedule(config=config, sets=tuple([(send[i >= z], frozenset(n)) for i, n in enumerate(on_air)]))
 
 
 def tr_schedule(nodes, z):

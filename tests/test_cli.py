@@ -281,7 +281,6 @@ class TestExitCodes:
         def refuse(*args, **kwargs):
             raise AssertionError("a run was planned")
 
-        monkeypatch.setattr(packetsim, "slot_directions", refuse)
         monkeypatch.setattr(packetsim, "period_events", refuse)
         assert cli.main(["simulate", "--mode", "NC", "--z", "3", "--hops", "1000000000", "--periods", "1"]) == 1
         assert capsys.readouterr().err == (

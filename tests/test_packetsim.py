@@ -360,12 +360,11 @@ class TestRunLength:
 
 
 def refuse_to_plan(monkeypatch):
-    """Make the engine's first allocations, the slot directions and the period's columns, fail."""
+    """Make the engine's first allocation, the period's columns, fail."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("a run was planned")
 
-    monkeypatch.setattr(packetsim, "slot_directions", refuse)
     monkeypatch.setattr(packetsim, "period_events", refuse)
 
 
@@ -743,18 +742,19 @@ class TestNoSlotLog:
             tracemalloc.stop()
         assert peak < 1_000_000
 
-    def test_a_period_of_empty_slots_peaks_under_10_mb(self):
-        # TR N 5, Z 200,000: 8 of the 400,000 slots have a sender. Planning and
-        # visiting every slot peaked at 57.8 MB; what is left is the O(Z) list of
-        # the period's slot directions
+    @pytest.mark.parametrize("run,ran", [(run_tr_sim, (400_000, 2)), (run_nc_sim, (200_000, 1))], ids=["TR", "NC"])
+    def test_a_period_of_empty_slots_peaks_under_64_kb(self, run, ran):
+        # N 5, Z 200,000: at most 8 of the period's slots have a sender. Planning and
+        # visiting every slot peaked at 57.8 MB (TR); a list of every slot's direction,
+        # built for the period's length and the plan, at 6.4 MB (TR) and 1.6 MB (NC)
         tracemalloc.start()
         try:
-            trace = run_tr_sim(5, 200_000, num_periods=1)
+            trace = run(5, 200_000, num_periods=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (trace.total_slots, len(trace._delivered)) == (400_000, 2)
-        assert peak < 10_000_000, peak
+        assert (trace.total_slots, len(trace._delivered)) == ran
+        assert peak < 64_000, peak
 
     @pytest.mark.parametrize("mode", [MODE_TR, MODE_NC])
     def test_reading_a_trace_runs_no_wrapped_function(self, monkeypatch, mode):

@@ -20,6 +20,7 @@ from multihop.schedule import (
     REVERSE,
     ScheduleConfig,
     nc_schedule,
+    period,
     period_events,
     tr_schedule,
 )
@@ -148,6 +149,11 @@ class TestSchedules:
         assert [sorted(on_air) for _, on_air in sched.sets] == [
             [1, 4], [2], [3], [2, 5], [4], [3],
         ]
+
+    def test_period_is_2z_under_tr_and_z_under_nc(self):
+        assert (period(MODE_TR, 5), period(MODE_NC, 5)) == (10, 5)
+        with pytest.raises(ValueError, match="unknown mode 'XX'"):
+            period("XX", 5)
 
     def test_nc_period_is_z_and_broadcasts(self):
         sched = nc_schedule(5, 4)
