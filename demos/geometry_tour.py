@@ -34,6 +34,6 @@ print()
 # Routes carry the traffic between two nodes of one row; they can run
 # in either direction and shorter routes skip the outer nodes.
 route = stream_route(geometry, 1, 1, 5)
-print("route 1 -> 5 on stream 1: nodes %s, %d hops" % (list(route.nodes), route.hops))
+print("route 1 -> 5 on stream 1: nodes %s, %d hops" % (list(route.nodes), len(route.nodes) - 1))
 route = stream_route(geometry, 2, 4, 1)
-print("route 4 -> 1 on stream 2: nodes %s, %d hops" % (list(route.nodes), route.hops))
+print("route 4 -> 1 on stream 2: nodes %s, %d hops" % (list(route.nodes), len(route.nodes) - 1))

@@ -124,8 +124,8 @@ def _streams(routes, mode, z, tr_phase):
         raise ValueError("no routes to schedule")
     streams = []
     for stream, route in sorted(routes.items()):
-        ScheduleConfig(nodes=route.num_nodes, z=z, mode=mode)  # validates nodes, z and mode
-        streams.append((stream, route.num_nodes, mode == MODE_TR and tr_phase == "opposite" and stream == 2))
+        ScheduleConfig(nodes=len(route.nodes), z=z, mode=mode)  # validates nodes, z and mode
+        streams.append((stream, len(route.nodes), mode == MODE_TR and tr_phase == "opposite" and stream == 2))
     return streams
 
 
@@ -153,7 +153,7 @@ def reception_events(routes, mode, z, tr_phase="same"):
 
 def _layout_pair(routes, stream, position):
     route = routes[stream]
-    return (route.stream, route.layout_node(position))
+    return (route.stream, route.nodes[position - 1])
 
 
 def event_interference(event, geometry, routes, radio):

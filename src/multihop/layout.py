@@ -119,26 +119,6 @@ class Route:
     stream: int
     nodes: tuple
 
-    @property
-    def source(self):
-        return self.nodes[0]
-
-    @property
-    def destination(self):
-        return self.nodes[-1]
-
-    @property
-    def num_nodes(self):
-        return len(self.nodes)
-
-    @property
-    def hops(self):
-        return len(self.nodes) - 1
-
-    def layout_node(self, position):
-        """Map a 1-based route position onto the layout node index."""
-        return self.nodes[position - 1]
-
 
 def stream_route(geometry, stream, source, destination):
     """Route along one row from source to destination node index.

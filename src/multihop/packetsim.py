@@ -10,25 +10,24 @@ the length instead.
 
 Inside the engine a label is an int with bit ``PacketId.alphabet_index`` set per component: XOR
 is ``^``, a strip is ``& ~known`` and a lone component has ``r & (r - 1) == 0``. The engine is
-one generator of per-slot sends and stores. Its plan lists only the slots that have a sender,
-and it steps from one to the next, so neither a run's time nor its memory grows with a period's
-empty slots.
+one generator of per-slot sends and stores that plays ``schedule.slot_plan``, which lists only the
+slots that have a sender, so neither a run's time nor its memory grows with a period's empty slots.
 A run drains it and keeps the held and known rows, the plan, and packets as bit indices: no slot
 log, so measuring builds no ``PacketId``, ``Delivery`` or ``SlotRecord`` (``injections``,
 ``deliveries`` and ``slots`` build them on first read). Records and trace text re-run the
-deterministic engine from slot 1 and fill in the empty slots. A run is refused before it is
-planned if what it keeps could pass 2**31 B: 3(N+1) labels of about 40 B and a bit per packet
-(2 a period, 4 B per 30 bits), 640 B a period for injections and deliveries, and a plan of 800 B
-a node; each constant is above its peak measured on 64-bit CPython (at most 510 B a period and
-760 B a node). Its 320 B per Z is left from a plan with an entry per slot and checks no memory a
-run keeps; it stays so that the accepted sizes and the refusal messages do not move.
+deterministic engine from slot 1 and fill in the empty slots; trace text names a packet from its
+bit index alone. A run is refused before it is planned if what it keeps could pass 2**31 B: 3(N+1)
+labels of about 40 B and a bit per packet (2 a period, 4 B per 30 bits), 640 B a period for
+injections and deliveries, and a plan of 800 B a node; each constant is above its peak measured on
+64-bit CPython (at most 510 B a period and 760 B a node). A replay is refused before its first slot
+if its text could pass 2**31 B (see ``SimTrace._replay``).
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
 
-from multihop.schedule import FORWARD, MODE_NC, MODE_TR, REVERSE, ScheduleConfig, period, period_events
+from multihop.schedule import FORWARD, MODE_NC, MODE_TR, REVERSE, ScheduleConfig, period, slot_plan
 from multihop.schedule import nc_schedule, tr_schedule  # unused here: perfbench/tracer.py wraps both at this module
 
 
@@ -52,11 +51,14 @@ class PacketId:
 
     @property
     def name(self):
-        idx = self.alphabet_index
-        if idx < 26:
-            return chr(ord("A") + idx)
-        prefix = "F" if self.direction == FORWARD else "R"
-        return "%s%d" % (prefix, self.seq)
+        return _name(self.alphabet_index)
+
+
+def _name(idx):
+    """A packet's name from its bit index: A..Z, then F<seq> forward and R<seq> reverse."""
+    if idx < 26:
+        return chr(ord("A") + idx)
+    return "%s%d" % ("FR"[idx & 1], (idx >> 1) + 1)
 
 
 def label_name(label):
@@ -130,12 +132,30 @@ class SimTrace:
     @cached_property
     def slots(self):
         """One SlotRecord per timeslot, built from a replay on first read."""
-        return self._records(1, self.total_slots)
+        packets = {p.alphabet_index: p for p in self.injections}
+        label = cache(lambda mask: frozenset([packets[i] for i in _bits(mask)]))
+        return [
+            SlotRecord(
+                slot=t,
+                scheduled=scheduled,
+                transmissions=dict(zip(sent[::2], map(label, sent[1::2]))),
+                xors=tuple([(n, label(mask)) for n, mask in xors]),
+                deliveries=tuple(self.deliveries[done:delivered]),
+                _held=(label, *map(tuple, rows)),
+            )
+            for t, scheduled, sent, _, xors, done, delivered, rows in self._replay(1, self.total_slots)
+        ]
 
     def _replay(self, first, last):
         """Re-run the deterministic engine from slot 1; per slot first..last yield (slot, its senders
-        on air, sent, stored, [(node, XOR formed)], deliveries before and after it, (forward, reverse) rows)."""
-        plan = _plan(self.config)
+        on air, sent, stored, [(node, XOR formed)], deliveries before and after it, (forward, reverse) rows).
+        Refused before the first slot if the text of slots 1..last and the re-run's records could pass 2**31 B:
+        400 B a slot and 200 B a node a period, each above its peak measured on 64-bit CPython (313 and 129)."""
+        need = 400 * last + 200 * self.nodes * (last // self.period + 1)
+        if need > 2**31:
+            raise ValueError("trace too large: slots 1..%d could take %.3g GB at nodes=%d z=%d, over the "
+                             "2.15 GB limit" % (last, need / 1e9, self.nodes, self.z))
+        plan = slot_plan(self.config)
         on_air = {s: tuple([n for n, _ in senders]) for s, senders in plan.items()}
         broadcasters = {n for senders in plan.values() for n, hears in senders if len(hears) == 2}
         rerun, done = SimTrace(self.config, total_slots=last), 0  # records what this run recorded
@@ -151,22 +171,6 @@ class SimTrace:
                 xors = [(n, fwd[n] ^ rev[n]) for n in heard if fwd[n] and rev[n]]
                 yield t, scheduled, sent, touched, xors, done, delivered, rows
             done = delivered
-
-    def _records(self, first, last):
-        """SlotRecords for slots first..last, from one replay."""
-        packets = {p.alphabet_index: p for p in self.injections}
-        label = cache(lambda mask: frozenset([packets[i] for i in _bits(mask)]))
-        return [
-            SlotRecord(
-                slot=t,
-                scheduled=scheduled,
-                transmissions=dict(zip(sent[::2], map(label, sent[1::2]))),
-                xors=tuple([(n, label(mask)) for n, mask in xors]),
-                deliveries=tuple(self.deliveries[done:delivered]),
-                _held=(label, *map(tuple, rows)),
-            )
-            for t, scheduled, sent, _, xors, done, delivered, rows in self._replay(first, last)
-        ]
 
 
 def _bits(mask):
@@ -211,19 +215,6 @@ def run_nc_sim(nodes, z, num_periods=None):
     which is what lets a combined packet serve both directions at once.
     """
     return _simulate(ScheduleConfig(nodes=nodes, z=z, mode=MODE_NC), num_periods)
-
-
-def _plan(config):
-    """{slot of the period: its transmitters} in slot order, for the slots that have any: each in node
-    order as (node, ((receiver, direction of travel, receiver is an endpoint), ...)), lower receiver
-    first. A sender serves the directions its receivers' hops travel, so a broadcaster serves both."""
-    ends = (1, config.nodes)
-    plan = {}  # first each occupied slot's {transmitter: [its receiver triples]}
-    for s, tx, rx in sorted(zip(*[c.tolist() for c in period_events(config.mode, config.z, config.nodes)])):
-        if s not in plan:
-            plan[s] = {}
-        plan[s].setdefault(tx, []).append((rx, int(rx < tx), rx in ends))
-    return {s: [(tx, tuple(hears)) for tx, hears in txs.items()] for s, txs in plan.items()}
 
 
 def _engine(trace, plan, stored):
@@ -290,9 +281,8 @@ def _simulate(config, num_periods):
     nodes, z = config.nodes, config.z
     # a moving packet crosses a hop per period, so fill and latency each stay under N periods
     periods = 4 * nodes if num_periods is None else num_periods
-    # bytes a run could keep: held forward, held reverse and known rows, injections and deliveries,
-    # plan; the Z term is left from a plan with an entry per slot (see the module docstring)
-    need = 3 * (nodes + 1) * (40 + periods // 3) + 640 * periods + 800 * nodes + 320 * z
+    # bytes a run could keep: held forward, held reverse and known rows, injections and deliveries, plan
+    need = 3 * (nodes + 1) * (40 + periods // 3) + 640 * periods + 800 * nodes
     if need > 2**31:
         raise ValueError("run too large: it could keep %.3g GB at nodes=%d z=%d periods=%d, over the "
                          "2.15 GB limit" % (need / 1e9, nodes, z, periods))
@@ -302,7 +292,7 @@ def _simulate(config, num_periods):
     # late deliveries per direction, of packets injected after warmup (0, so all count, until both
     # directions have delivered); both change only in slots that deliver, which is where ``stop`` is set
     warmup, late, seen, stop = 0, [0, 0], 0, 0
-    for t, _, _ in _engine(trace, _plan(config), ([0] * (nodes + 1), [0] * (nodes + 1))):
+    for t, _, _ in _engine(trace, slot_plan(config), ([0] * (nodes + 1), [0] * (nodes + 1))):
         if len(delivered) > seen:
             for idx, _, _, _ in delivered[seen:]:
                 late[idx & 1] += injected[idx] > warmup
@@ -355,14 +345,16 @@ def measured_delivery_rate(trace):
 def _slot_cells(trace, first, last, sep, delivery):
     """(slot, senders, transmissions, XORs formed, deliveries) text cells for slots first..last,
     from the replay: senders by ';', 'node:label' and ``delivery % (packet, node, latency)`` by sep."""
-    name = cache(lambda mask: label_name([trace._packet(i) for i in _bits(mask)]))
+    def name(mask):
+        return "^".join(map(_name, _bits(mask)))
+
     for t, scheduled, sent, _, xors, done, delivered, _ in trace._replay(first, last):
         yield (
             t,
             ";".join(map(str, scheduled)),
             sep.join(["%d:%s" % (n, name(mask)) for n, mask in zip(sent[::2], sent[1::2])]),
             sep.join(["%d:%s" % (n, name(mask)) for n, mask in xors]),
-            sep.join([delivery % (name(1 << idx), node, lat) for idx, node, _, lat in trace._delivered[done:delivered]]),
+            sep.join([delivery % (_name(idx), node, lat) for idx, node, _, lat in trace._delivered[done:delivered]]),
         )
 
 

@@ -10,9 +10,10 @@ of nodes on air). Both functions first validate a ``ScheduleConfig`` of their mo
 
 ``period_events``, a stream's (slot, transmitter, receiver) columns, is the one
 encoding of the slot rules and ``period`` of the period's length; both engines
-read them. A sender serves the directions its receivers' hops travel, so only the
-builders write a slot's direction. ``tests/reference.py`` holds the independent
-set forms and addressing.
+read them. ``slot_plan`` is the one grouping of those columns by slot: the packet
+engine plays it and the builders take each slot's senders from it. A sender serves
+the directions its receivers' hops travel, so only the builders write a slot's
+direction. ``tests/reference.py`` holds the independent set forms and addressing.
 """
 
 from dataclasses import dataclass
@@ -90,16 +91,26 @@ def period(mode, z):
     raise ValueError("unknown mode %r" % (mode,))
 
 
+def slot_plan(config):
+    """{slot of the period: its transmitters} in slot order, for the slots that have any: each in node
+    order as (node, ((receiver, direction of travel, receiver is an endpoint), ...)), lower receiver
+    first. A sender serves the directions its receivers' hops travel, so a broadcaster serves both."""
+    ends = (1, config.nodes)
+    plan = {}  # first each occupied slot's {transmitter: [its receiver triples]}
+    for s, tx, rx in sorted(zip(*[c.tolist() for c in period_events(config.mode, config.z, config.nodes)])):
+        if s not in plan:
+            plan[s] = {}
+        plan[s].setdefault(tx, []).append((rx, int(rx < tx), rx in ends))
+    return {s: [(tx, tuple(hears)) for tx, hears in txs.items()] for s, txs in plan.items()}
+
+
 def _grouped(config):
-    """The schedule whose slot s holds the transmitters ``period_events`` puts in slot s, maybe
-    none; the only place a slot's direction is written."""
-    mode, z = config.mode, config.z
-    slot, tx, _ = period_events(mode, z, config.nodes)
-    on_air = [[] for _ in range(period(mode, z))]
-    for s, t in zip(slot.tolist(), tx.tolist()):
-        on_air[s - 1].append(t)
+    """The schedule whose slot s holds the senders ``slot_plan`` puts in slot s, maybe none; the only
+    place a slot's direction is written."""
+    mode, z, plan = config.mode, config.z, slot_plan(config)
     send = (FORWARD, REVERSE) if mode == MODE_TR else (BROADCAST, BROADCAST)  # in slots 1..Z, then Z+1..2Z
-    return Schedule(config=config, sets=tuple([(send[i >= z], frozenset(n)) for i, n in enumerate(on_air)]))
+    sets = [(send[s > z], frozenset([n for n, _ in plan.get(s, ())])) for s in range(1, period(mode, z) + 1)]
+    return Schedule(config=config, sets=tuple(sets))
 
 
 def tr_schedule(nodes, z):

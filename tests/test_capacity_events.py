@@ -86,7 +86,7 @@ def test_second_row_never_raises_a_stream_one_bottleneck(scenario, radio):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # rows past the validated size
         one_row = build_layout(replace(geometry.config, num_streams=1))
-    alone = {1: stream_route(one_row, 1, routes[1].source, routes[1].destination)}
+    alone = {1: stream_route(one_row, 1, routes[1].nodes[0], routes[1].nodes[-1])}
     solo = stream_capacity(one_row, alone, radio, mode, z, tr_phase=tr_phase)[1]
     paired = stream_capacity(geometry, routes, radio, mode, z, tr_phase=tr_phase)[1]
     for name in BOTTLENECKS:

@@ -84,7 +84,7 @@ def schedule_objects(routes, mode, z, tr_phase):
     stream 2's rotated by Z in TR's opposite phase."""
     schedules = {}
     for stream, route in routes.items():
-        sched = (tr_schedule if mode == MODE_TR else nc_schedule)(route.num_nodes, z)
+        sched = (tr_schedule if mode == MODE_TR else nc_schedule)(len(route.nodes), z)
         if mode == MODE_TR and tr_phase == "opposite" and stream == 2:
             sched = replace(sched, sets=sched.sets[z:] + sched.sets[:z])
         schedules[stream] = sched
@@ -223,7 +223,7 @@ def test_clash_names_the_first_clashing_event(case):
     clashes = [
         ev
         for ev in reception_events(routes, MODE_TR, z, tr_phase="opposite")
-        if routes[ev.stream].layout_node(ev.receiver) in {routes[k].layout_node(n) for k, n in ev.on_air}
+        if routes[ev.stream].nodes[ev.receiver - 1] in {routes[k].nodes[n - 1] for k, n in ev.on_air}
     ]
     if not clashes:
         assert stream_capacity(geometry, routes, RadioConfig(), MODE_TR, z, tr_phase="opposite")

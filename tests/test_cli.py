@@ -281,10 +281,32 @@ class TestExitCodes:
         def refuse(*args, **kwargs):
             raise AssertionError("a run was planned")
 
-        monkeypatch.setattr(packetsim, "period_events", refuse)
+        monkeypatch.setattr(packetsim, "slot_plan", refuse)
         assert cli.main(["simulate", "--mode", "NC", "--z", "3", "--hops", "1000000000", "--periods", "1"]) == 1
         assert capsys.readouterr().err == (
             "error: run too large: it could keep 920 GB at nodes=1000000001 z=3 periods=1, "
+            "over the 2.15 GB limit\n"
+        )
+
+    def test_simulate_runs_a_huge_period(self, capsys):
+        assert cli.main(["simulate", "--mode", "TR", "--z", "1000000000", "--hops", "4"]) == 0
+        assert capsys.readouterr() == (
+            "TR nodes=5 z=1000000000: delivery rate 1/1000000000 per slot, latency forward 4, reverse 4\n", ""
+        )
+
+    def test_simulate_refuses_a_trace_too_large_before_replaying_it(self, monkeypatch, capsys):
+        engine, runs = packetsim._engine, []
+
+        def once(*args):  # the run plays the engine; a replay of its 7e9 slots must not start
+            if runs:
+                raise AssertionError("the trace was replayed")
+            runs.append(args)
+            return engine(*args)
+
+        monkeypatch.setattr(packetsim, "_engine", once)
+        assert cli.main(["simulate", "--mode", "TR", "--z", "1000000000", "--hops", "4", "--trace"]) == 1
+        assert capsys.readouterr().err == (
+            "error: trace too large: slots 1..7000000004 could take 2.8e+03 GB at nodes=5 z=1000000000, "
             "over the 2.15 GB limit\n"
         )
 

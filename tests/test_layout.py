@@ -158,25 +158,18 @@ class TestStreamRoute:
     def test_partial_route(self):
         route = stream_route(default_geometry(), 1, 1, 4)
         assert route.nodes == (1, 2, 3, 4)
-        assert route.num_nodes == 4
-        assert route.hops == 3
-        assert route.source == 1
-        assert route.destination == 4
 
     def test_full_row(self):
         route = stream_route(default_geometry(), 2, 1, 6)
         assert route.nodes == (1, 2, 3, 4, 5, 6)
-        assert route.hops == 5
 
     def test_descending_route(self):
         route = stream_route(default_geometry(), 1, 6, 3)
         assert route.nodes == (6, 5, 4, 3)
-        assert route.source == 6
-        assert route.destination == 3
 
-    def test_layout_node_maps_route_positions(self):
+    def test_route_from_a_middle_node(self):
         route = stream_route(default_geometry(), 1, 3, 6)
-        assert [route.layout_node(p) for p in range(1, 5)] == [3, 4, 5, 6]
+        assert route.nodes == (3, 4, 5, 6)
 
     def test_route_indices_follow_the_distance_matrix_order(self):
         geo = default_geometry()
@@ -205,7 +198,7 @@ class TestStreamRoute:
     def test_consecutive_route_nodes_one_hop_apart(self):
         geo = default_geometry(hop_length_m=250.0)
         route = stream_route(geo, 1, 2, 5)
-        for p in range(1, route.num_nodes):
-            a = (route.stream, route.layout_node(p))
-            b = (route.stream, route.layout_node(p + 1))
+        for p in range(1, len(route.nodes)):
+            a = (route.stream, route.nodes[p - 1])
+            b = (route.stream, route.nodes[p])
             assert geo.distance(a, b) == 250.0

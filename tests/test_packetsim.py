@@ -354,18 +354,18 @@ class TestRunLength:
             keep = tx != nodes
             return slot[keep], tx[keep], rx[keep]
 
-        monkeypatch.setattr(packetsim, "period_events", muted)
+        monkeypatch.setattr("multihop.schedule.period_events", muted)
         with pytest.raises(SteadyStateError, match=r"no steady state within 120 slots"):
             run_tr_sim(5, 3)
 
 
 def refuse_to_plan(monkeypatch):
-    """Make the engine's first allocation, the period's columns, fail."""
+    """Make planning the period's slots, the first thing a run or a replay allocates, fail."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("a run was planned")
 
-    monkeypatch.setattr(packetsim, "period_events", refuse)
+    monkeypatch.setattr(packetsim, "slot_plan", refuse)
 
 
 class TestSizeLimit:
@@ -376,8 +376,7 @@ class TestSizeLimit:
         [
             (run_nc_sim, 1_000_000_001, 3, None,
              "4e+09 GB at nodes=1000000001 z=3 periods=4000000004"),
-            (run_tr_sim, 5, 10**9, None, "320 GB at nodes=5 z=1000000000 periods=20"),
-            (run_tr_sim, 64, 2, 3045992, "2.15 GB at nodes=64 z=2 periods=3045992"),
+            (run_tr_sim, 64, 2, 3045993, "2.15 GB at nodes=64 z=2 periods=3045993"),
             (run_nc_sim, 22740, 3, None, "2.15 GB at nodes=22740 z=3 periods=90960"),
         ],
     )
@@ -387,11 +386,48 @@ class TestSizeLimit:
             run(nodes, z, num_periods=num_periods)
         assert str(exc.value) == "run too large: it could keep %s, over the 2.15 GB limit" % message
 
-    @pytest.mark.parametrize("run,nodes,z,num_periods", [(run_nc_sim, 22739, 3, None), (run_tr_sim, 64, 2, 3045991)])
+    @pytest.mark.parametrize("run,nodes,z,num_periods", [(run_nc_sim, 22739, 3, None), (run_tr_sim, 64, 2, 3045992)])
     def test_the_largest_runs_within_the_limit_are_planned(self, monkeypatch, run, nodes, z, num_periods):
         refuse_to_plan(monkeypatch)
         with pytest.raises(AssertionError, match="a run was planned"):
             run(nodes, z, num_periods=num_periods)
+
+    @pytest.mark.parametrize("run,slots,reverse", [(run_tr_sim, 7_000_000_004, 4), (run_nc_sim, 8_000_000_002, 2_999_999_998)])
+    def test_a_huge_period_is_not_a_large_run(self, run, slots, reverse):
+        # the plan holds only the slots that have a sender (8 under TR, 5 under NC), so Z does not size a run
+        tracemalloc.start()
+        try:
+            trace = run(5, 10**9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trace.total_slots == slots and peak < 64_000, peak
+        assert measured_latency(trace, FORWARD) == 4 and measured_latency(trace, REVERSE) == reverse
+
+
+class TestReplayLimit:
+    """Trace text whose slots could take more than 2**31 bytes is refused before the replay plans a slot."""
+
+    @pytest.fixture(scope="class")
+    def trace(self):
+        return run_tr_sim(3, 10**9)  # 7,000,000,002 slots, 4 of each period's 2e9 with a sender
+
+    @pytest.mark.parametrize("read", [render_trace, trace_to_csv_text, lambda trace: trace.slots],
+                             ids=["render", "csv", "slots"])
+    def test_a_huge_trace_is_refused(self, monkeypatch, trace, read):
+        refuse_to_plan(monkeypatch)
+        with pytest.raises(ValueError) as exc:
+            read(trace)
+        assert str(exc.value) == (
+            "trace too large: slots 1..7000000002 could take 2.8e+03 GB at nodes=3 z=1000000000, over the 2.15 GB limit"
+        )
+
+    @pytest.mark.parametrize("last,planned", [(5_368_707, True), (5_368_708, False)])
+    def test_the_limit_is_on_the_last_slot(self, monkeypatch, trace, last, planned):
+        # 400 B a slot and 200 B a node a period: 400 * 5,368,707 + 200 * 3 is just under 2**31
+        refuse_to_plan(monkeypatch)
+        with pytest.raises(AssertionError if planned else ValueError):
+            render_trace(trace, 1, last)
 
 
 class TestRenderRange:
@@ -814,9 +850,6 @@ class TestSlotRecordProperties:
         trace = simulate(*case)
         last = data.draw(st.integers(1, trace.total_slots), label="last")
         first = data.draw(st.integers(1, last), label="first")
-        part, full = trace._records(first, last), trace.slots[first - 1 : last]
-        assert part == full
-        assert [rec.stored for rec in part] == [rec.stored for rec in full]
         rows = render_trace(trace, first, last).splitlines()[3:]
         full_rows = render_trace(trace).splitlines()[3:]
         assert [row.split() for row in rows] == [row.split() for row in full_rows[first - 1 : last]]

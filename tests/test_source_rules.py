@@ -1,6 +1,7 @@
 """Rules for the program's own source under ``src/multihop``, checked by parsing it."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -38,3 +39,10 @@ def test_every_import_is_used_or_wrapped(path):
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     wrapped = {attr for module, attr, _, _ in _wraps() if module == path.stem}
     assert sorted(imported - read - wrapped) == [], path.name
+
+
+def test_only_schedule_and_capacity_name_the_period_columns():
+    """``schedule.slot_plan`` is the one grouping of a period's events by slot, and ``capacity``
+    reads the columns as arrays; a third module naming ``period_events`` would group them again."""
+    naming = [path.name for path in SOURCES if re.search(r"\bperiod_events\b", path.read_text())]
+    assert naming == ["capacity.py", "schedule.py"]
