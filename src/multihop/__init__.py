@@ -16,7 +16,6 @@ from multihop.capacity import (
     stream_capacity,
 )
 from multihop.packetsim import (
-    PacketId,
     SimTrace,
     run_tr_sim,
     run_nc_sim,

@@ -180,8 +180,7 @@ class ResultRow:
     sim_latency_rev: int
 
 
-_ROW_FIELDS = fields(ResultRow)
-CSV_COLUMNS = tuple([f.name for f in _ROW_FIELDS])
+CSV_COLUMNS = tuple([f.name for f in fields(ResultRow)])
 
 
 def stream_routes(geometry, nodes):
@@ -267,38 +266,6 @@ def rows_to_csv_text(rows):
 def write_csv(rows, path):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(rows_to_csv_text(rows))
-
-
-def _flag(text):
-    """A bool cell, written as 0 or 1 by ``_cell``."""
-    if text not in ("0", "1"):
-        raise ValueError("flag must be 0 or 1, got %r" % (text,))
-    return text == "1"
-
-
-def parse_csv_text(text):
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines or tuple(lines[0].split(",")) != CSV_COLUMNS:
-        raise ConfigError("missing or wrong CSV header, expected %s" % ",".join(CSV_COLUMNS))
-    rows = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) != len(CSV_COLUMNS):
-            raise ConfigError("bad CSV row %r" % line)
-        try:
-            cells = [(_flag if f.type is bool else f.type)(cell) for f, cell in zip(_ROW_FIELDS, parts)]
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError("bad CSV row %r: %s" % (line, exc)) from None
-        rows.append(ResultRow(*cells))
-    return rows
-
-
-def read_csv(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_csv_text(fh.read())
-    except OSError as exc:
-        raise ConfigError("cannot read CSV %s: %s" % (path, exc)) from None
 
 
 # Published reference: 6-node rows, capacity in Mbps at the published optimum

@@ -8,24 +8,25 @@ which both directions have delivered, and the run stops once each direction has 
 packets injected after warmup and 2 whole periods have passed. An explicit ``num_periods`` fixes
 the length instead.
 
-Inside the engine a label is an int with bit ``PacketId.alphabet_index`` set per component: XOR
-is ``^``, a strip is ``& ~known`` and a lone component has ``r & (r - 1) == 0``. The engine is
-one generator of per-slot sends and stores that plays ``schedule.slot_plan``, which lists only the
-slots that have a sender, so neither a run's time nor its memory grows with a period's empty slots.
-A run drains it and keeps the held and known rows, the plan, and packets as bit indices: no slot
-log, so measuring builds no ``PacketId``, ``Delivery`` or ``SlotRecord`` (``injections``,
-``deliveries`` and ``slots`` build them on first read). Records and trace text re-run the
-deterministic engine from slot 1 and fill in the empty slots; trace text names a packet from its
-bit index alone. A run is refused before it is planned if what it keeps could pass 2**31 B: 3(N+1)
-labels of about 40 B and a bit per packet (2 a period, 4 B per 30 bits), 640 B a period for
-injections and deliveries, and a plan of 800 B a node; each constant is above its peak measured on
-64-bit CPython (at most 510 B a period and 760 B a node). A replay is refused before its first slot
-if its text could pass 2**31 B (see ``SimTrace._replay``).
+A packet is its bit index everywhere, from the engine to the records: the seq-th forward packet
+is 2(seq-1) and the seq-th reverse one 2(seq-1)+1, so forward packets are named A, C, E... and
+reverse ones B, D, F.... A label is an int with the bit of each component set: XOR is ``^``, a
+strip is ``& ~known`` and a lone component has ``r & (r - 1) == 0``. The engine is one generator
+of per-slot sends and stores that plays ``schedule.slot_plan``, which lists only the slots that
+have a sender, so neither a run's time nor its memory grows with a period's empty slots. A run
+drains it and keeps the held and known rows, the plan, its injections and its deliveries: no slot
+log, so measuring builds no ``SlotRecord`` (``slots`` builds them on first read). Records and
+trace text re-run the deterministic engine from slot 1 and fill in the empty slots; trace text
+names a packet from its bit index alone. A run is refused before it is planned if what it keeps
+could pass 2**31 B: 3(N+1) labels of about 40 B and a bit per packet (2 a period, 4 B per 30
+bits), 640 B a period for injections and deliveries, and a plan of 800 B a node; each constant is
+above its peak measured on 64-bit CPython (at most 510 B a period and 760 B a node). A replay is
+refused before its first slot if its text could pass 2**31 B (see ``SimTrace._replay``).
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 
 from multihop.schedule import FORWARD, MODE_NC, MODE_TR, REVERSE, ScheduleConfig, period, slot_plan
 from multihop.schedule import nc_schedule, tr_schedule  # unused here: perfbench/tracer.py wraps both at this module
@@ -35,25 +36,6 @@ class SteadyStateError(RuntimeError):
     """Raised when a trace is too short or too irregular to measure."""
 
 
-@dataclass(frozen=True, order=True)
-class PacketId:
-    """One source packet: direction of travel, per-direction sequence, origin node."""
-
-    direction: str
-    seq: int
-    origin: int
-
-    @property
-    def alphabet_index(self):
-        # forward packets take A, C, E..., reverse packets B, D, F...
-        offset = 0 if self.direction == FORWARD else 1
-        return 2 * (self.seq - 1) + offset
-
-    @property
-    def name(self):
-        return _name(self.alphabet_index)
-
-
 def _name(idx):
     """A packet's name from its bit index: A..Z, then F<seq> forward and R<seq> reverse."""
     if idx < 26:
@@ -61,37 +43,15 @@ def _name(idx):
     return "%s%d" % ("FR"[idx & 1], (idx >> 1) + 1)
 
 
-def label_name(label):
-    """Readable form of a label, components in injection order, e.g. 'A^B'."""
-    if not label:
-        return "-"
-    return "^".join(p.name for p in sorted(label, key=lambda p: p.alphabet_index))
-
-
-@dataclass(frozen=True)
-class Delivery:
-    packet: PacketId
-    node: int
-    slot: int
-    latency: int
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SlotRecord:
-    """Everything that happened in one timeslot."""
+    """Everything that happened in one timeslot, packets as bit indices and labels as ints."""
 
     slot: int
     scheduled: tuple
-    transmissions: dict
+    transmissions: dict  # {node: label sent}
     xors: tuple  # (node, combined label) formed at the end of this slot
-    deliveries: tuple
-    _held: tuple = field(repr=False, compare=False)  # label function, then the forward and reverse rows after the slot
-
-    @cached_property
-    def stored(self):
-        """(node, direction, label) snapshot after the slot, built on first read."""
-        label, fwd, rev = self._held
-        return tuple([(n, d, label(m)) for d, row in ((FORWARD, fwd), (REVERSE, rev)) for n, m in enumerate(row) if m])
+    deliveries: tuple  # (packet, node, slot, latency) per delivery in this slot
 
 
 @dataclass
@@ -104,46 +64,20 @@ class SimTrace:
     total_slots: int = 0  # slots the run took
     warmup_slots: int = 0  # first slot by which both directions delivered, else the run's length
     dropped: int = 0  # stored packets overwritten before being relayed
-    # packets as bit indices (PacketId.alphabet_index), which the injections and
-    # deliveries properties turn into objects on first read: index -> first tx
-    # slot, and (index, node, slot, latency) per delivery in delivery order
-    _injected: dict = field(default_factory=dict)
-    _delivered: list = field(default_factory=list)
+    injections: dict = field(default_factory=dict)  # packet -> first tx slot, in injection order
+    deliveries: list = field(default_factory=list)  # (packet, node, slot, latency) in delivery order
 
     def __post_init__(self):
         c = self.config
         self.mode, self.nodes, self.z, self.period = c.mode, c.nodes, c.z, period(c.mode, c.z)
 
-    def _packet(self, idx):
-        d = idx & 1
-        return PacketId(direction=(FORWARD, REVERSE)[d], seq=(idx >> 1) + 1, origin=(1, self.nodes)[d])
-
-    @cached_property
-    def injections(self):
-        """{PacketId: first tx slot} in injection order, built on first read."""
-        return {self._packet(idx): t for idx, t in self._injected.items()}
-
-    @cached_property
-    def deliveries(self):
-        """Deliveries in the order they happened, built on first read."""
-        packets = {p.alphabet_index: p for p in self.injections}
-        return [Delivery(packets[idx], node, t, lat) for idx, node, t, lat in self._delivered]
-
     @cached_property
     def slots(self):
         """One SlotRecord per timeslot, built from a replay on first read."""
-        packets = {p.alphabet_index: p for p in self.injections}
-        label = cache(lambda mask: frozenset([packets[i] for i in _bits(mask)]))
         return [
-            SlotRecord(
-                slot=t,
-                scheduled=scheduled,
-                transmissions=dict(zip(sent[::2], map(label, sent[1::2]))),
-                xors=tuple([(n, label(mask)) for n, mask in xors]),
-                deliveries=tuple(self.deliveries[done:delivered]),
-                _held=(label, *map(tuple, rows)),
-            )
-            for t, scheduled, sent, _, xors, done, delivered, rows in self._replay(1, self.total_slots)
+            SlotRecord(t, scheduled, dict(zip(sent[::2], sent[1::2])), tuple(xors),
+                       tuple(self.deliveries[done:delivered]))
+            for t, scheduled, sent, _, xors, done, delivered, _ in self._replay(1, self.total_slots)
         ]
 
     def _replay(self, first, last):
@@ -164,7 +98,7 @@ class SimTrace:
         for t in range(1, last + 1):  # every slot: an empty one sends nothing and keeps the rows
             scheduled = on_air.get((t - 1) % self.period + 1, ())
             _, sent, touched = next(steps) if scheduled else (t, (), ())
-            delivered = len(rerun._delivered)
+            delivered = len(rerun.deliveries)
             if t >= first:
                 fwd, rev = rows
                 heard = sorted(broadcasters.intersection(touched[::3]))
@@ -230,7 +164,7 @@ def _engine(trace, plan, stored):
     half-duplex, so each transmission is received as soon as it is formed."""
     nodes, period = trace.nodes, trace.period
     known = [0] * (nodes + 1)
-    injected, delivered = trace._injected, trace._delivered
+    injected, delivered = trace.injections, trace.deliveries
     fresh = [0, 1]  # next bit index per direction
     for start in range(0, trace.total_slots, period):
         for s, senders in plan.items():
@@ -287,7 +221,7 @@ def _simulate(config, num_periods):
         raise ValueError("run too large: it could keep %.3g GB at nodes=%d z=%d periods=%d, over the "
                          "2.15 GB limit" % (need / 1e9, nodes, z, periods))
     trace = SimTrace(config)
-    injected, delivered, period = trace._injected, trace._delivered, trace.period
+    injected, delivered, period = trace.injections, trace.deliveries, trace.period
     slots = trace.total_slots = periods * period
     # late deliveries per direction, of packets injected after warmup (0, so all count, until both
     # directions have delivered); both change only in slots that deliver, which is where ``stop`` is set
@@ -316,8 +250,8 @@ def measured_latency(trace, direction):
     """
     if direction not in (FORWARD, REVERSE):
         raise ValueError("direction must be %r or %r, not %r" % (FORWARD, REVERSE, direction))
-    d, injected = (FORWARD, REVERSE).index(direction), trace._injected
-    lats = [lat for idx, _, _, lat in trace._delivered if idx & 1 == d and injected[idx] > trace.warmup_slots]
+    d, injected = (FORWARD, REVERSE).index(direction), trace.injections
+    lats = [lat for idx, _, _, lat in trace.deliveries if idx & 1 == d and injected[idx] > trace.warmup_slots]
     if len(lats) < 3:
         raise SteadyStateError(
             "only %d %s deliveries past warmup; run more periods" % (len(lats), direction)
@@ -338,7 +272,7 @@ def measured_delivery_rate(trace):
     if whole < 2:
         raise SteadyStateError("fewer than 2 whole periods after both directions began delivering")
     end = start + whole * trace.period  # window [start, end)
-    count = sum(1 for _, _, t, _ in trace._delivered if start <= t < end)
+    count = sum(1 for _, _, t, _ in trace.deliveries if start <= t < end)
     return Fraction(count, whole * trace.period)
 
 
@@ -354,7 +288,7 @@ def _slot_cells(trace, first, last, sep, delivery):
             ";".join(map(str, scheduled)),
             sep.join(["%d:%s" % (n, name(mask)) for n, mask in zip(sent[::2], sent[1::2])]),
             sep.join(["%d:%s" % (n, name(mask)) for n, mask in xors]),
-            sep.join([delivery % (_name(idx), node, lat) for idx, node, _, lat in trace._delivered[done:delivered]]),
+            sep.join([delivery % (_name(idx), node, lat) for idx, node, _, lat in trace.deliveries[done:delivered]]),
         )
 
 

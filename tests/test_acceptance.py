@@ -33,8 +33,6 @@ from multihop.capacity import (
 from multihop.harness import compare_table4, table4_rows
 from multihop.layout import LayoutConfig, build_layout, stream_route
 from multihop.packetsim import (
-    Delivery,
-    PacketId,
     measured_delivery_rate,
     measured_latency,
     nc_latency_forward,
@@ -83,12 +81,11 @@ def test_criterion_02_latency_formula_oracle():
 
 
 def test_criterion_03_golden_coded_trace():
+    # packets are bit indices, A = 0 (forward 1) and B = 1 (reverse 1); a label sets one bit per packet
     trace = run_nc_sim(5, 4)
-    a = PacketId(FORWARD, 1, 1)
-    b = PacketId(REVERSE, 1, 5)
-    assert trace.slots[2].xors == ((4, frozenset({a, b})),), "combiner forms A^B in slot 3"
-    assert trace.slots[3].deliveries == (Delivery(packet=a, node=5, slot=4, latency=4),)
-    assert trace.slots[9].deliveries == (Delivery(packet=b, node=1, slot=10, latency=10),)
+    assert trace.slots[2].xors == ((4, 0b11),), "combiner forms A^B in slot 3"
+    assert trace.slots[3].deliveries == ((0, 5, 4, 4),), "A reaches node 5 in slot 4, latency 4"
+    assert trace.slots[9].deliveries == ((1, 1, 10, 10),), "B reaches node 1 in slot 10, latency 10"
 
 
 def test_criterion_04_delivery_rate_factors():

@@ -13,8 +13,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from multihop import cli, packetsim
-from multihop.harness import DEFAULTS, EngineMismatchError, load_config, read_csv
+from multihop import cli, harness, packetsim
+from multihop.harness import DEFAULTS, EngineMismatchError, load_config
+from test_harness import assert_csv_cells_match
 
 
 class TestVerbs:
@@ -69,8 +70,10 @@ class TestVerbs:
              "--hop-counts", "2,3", "--z-values", "2,3", "--output", str(target)]
         )
         assert code == 0
-        rows = read_csv(str(target))
+        cfg = dict(DEFAULTS, num_streams=1, nodes_per_stream=5, hop_counts=(2, 3), z_values=(2, 3))
+        rows = harness.run_sweep(harness.spec_from_config(cfg))
         assert len(rows) == 8
+        assert_csv_cells_match(target.read_text(encoding="utf-8"), rows)
 
     def test_config_file_feeds_the_run(self, tmp_path, capsys):
         cfg = tmp_path / "one.cfg"

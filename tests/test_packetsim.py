@@ -11,11 +11,7 @@ from hypothesis import strategies as st
 
 from multihop import harness, packetsim
 from multihop.packetsim import (
-    Delivery,
-    PacketId,
-    SimTrace,
     SteadyStateError,
-    label_name,
     measured_delivery_rate,
     measured_latency,
     nc_latency_forward,
@@ -32,7 +28,6 @@ from multihop.schedule import (
     MODE_NC,
     MODE_TR,
     REVERSE,
-    ScheduleConfig,
     nc_schedule,
     period_events,
     tr_schedule,
@@ -42,17 +37,14 @@ from test_schedule import periods, reference_sets
 
 GRID = [(nodes, z) for nodes in range(3, 8) for z in range(2, 7)]
 
-# the first few packets of a 5-node coded run, in injection order
-A = PacketId(FORWARD, 1, 1)
-B = PacketId(REVERSE, 1, 5)
-C = PacketId(FORWARD, 2, 1)
-D = PacketId(REVERSE, 2, 5)
-E = PacketId(FORWARD, 3, 1)
-F = PacketId(REVERSE, 3, 5)
+# the first few packets of a 5-node coded run as bit indices, in injection order:
+# forward packet seq is 2(seq-1), reverse packet seq 2(seq-1)+1
+A, B, C, D, E, F = range(6)
 
 
-def lab(*pids):
-    return frozenset(pids)
+def lab(*packets):
+    """The label that XORs these packets: one bit per packet."""
+    return sum([1 << p for p in packets])
 
 
 def closed_form(mode, nodes, z):
@@ -81,21 +73,11 @@ def simulate(mode, nodes, z, num_periods=None):
 
 class TestPacketNames:
     def test_alphabet_alternates_by_direction(self):
-        assert A.name == "A"
-        assert B.name == "B"
-        assert C.name == "C"
-        assert D.name == "D"
-        assert E.name == "E"
-
-    def test_label_name_sorts_components(self):
-        assert label_name(lab(B, A)) == "A^B"
-        assert label_name(lab(D, C)) == "C^D"
-        assert label_name(lab()) == "-"
+        assert [packetsim._name(p) for p in (A, B, C, D, E)] == ["A", "B", "C", "D", "E"]
 
     def test_names_beyond_the_alphabet(self):
-        assert PacketId(REVERSE, 13, 5).name == "Z"
-        assert PacketId(FORWARD, 14, 1).name == "F14"
-        assert PacketId(REVERSE, 14, 5).name == "R14"
+        # reverse packet 13, then forward and reverse packet 14
+        assert [packetsim._name(p) for p in (25, 26, 27)] == ["Z", "F14", "R14"]
 
 
 @pytest.fixture(scope="module")
@@ -130,25 +112,22 @@ class TestGoldenCodedTrace:
         assert trace.slots[8].xors == ((2, lab(B, E)),)
 
     def test_first_forward_delivery(self, trace):
-        assert trace.slots[3].deliveries == (
-            Delivery(packet=A, node=5, slot=4, latency=4),
-        )
+        # (packet, node, slot, latency)
+        assert trace.slots[3].deliveries == ((A, 5, 4, 4),)
 
     def test_first_reverse_delivery(self, trace):
-        assert trace.slots[9].deliveries == (
-            Delivery(packet=B, node=1, slot=10, latency=10),
-        )
+        assert trace.slots[9].deliveries == ((B, 1, 10, 10),)
 
     def test_every_delivery_is_a_single_source_packet(self, trace):
-        for d in trace.deliveries:
-            assert d.node in (1, 5)
-            assert (d.packet.direction == FORWARD) == (d.node == 5)
+        for packet, node, _, _ in trace.deliveries:
+            assert node in (1, 5)
+            assert (packet & 1 == 0) == (node == 5), "even bit indices travel forward"
 
     def test_a_broadcast_serves_its_lower_receiver_first(self):
         # on 3 nodes the relay's XOR reaches both ends in one slot: node 1 decodes first
         trace = run_nc_sim(3, 2)
         assert trace_to_csv_text(trace).splitlines()[2] == "2,2,2:A^B,,B@1:L2;A@3:L2"
-        assert trace._delivered[:4] == [(1, 1, 2, 2), (0, 3, 2, 2), (3, 1, 4, 2), (2, 3, 4, 2)]
+        assert trace.deliveries[:4] == [(1, 1, 2, 2), (0, 3, 2, 2), (3, 1, 4, 2), (2, 3, 4, 2)]
 
 
 class TestLatencyFormulas:
@@ -203,14 +182,14 @@ class TestTraceIntegrity:
             injected = set()
             delivered = set()
             inj_by_slot = {}
-            for pid, slot in trace.injections.items():
-                inj_by_slot.setdefault(slot, []).append(pid)
-            for rec in trace.slots:
-                injected.update(inj_by_slot.get(rec.slot, []))
-                delivered.update(d.packet for d in rec.deliveries)
-                stored = [p for _, _, label in rec.stored for p in label]
-                assert len(stored) == len(set(stored)), "a packet is stored twice"
-                assert set(stored) == injected - delivered
+            for packet, slot in trace.injections.items():
+                inj_by_slot.setdefault(slot, []).append(packet)
+            for t, _, _, _, _, done, now, rows in trace._replay(1, trace.total_slots):
+                injected.update(inj_by_slot.get(t, []))
+                delivered.update(packet for packet, _, _, _ in trace.deliveries[done:now])
+                held = [p for row in rows for label in row for p in packetsim._bits(label)]
+                assert len(held) == len(set(held)), "a packet is stored twice"
+                assert set(held) == injected - delivered
 
     @pytest.mark.parametrize("nodes,z", [(4, 2), (5, 3), (5, 4), (6, 3), (7, 2)])
     def test_steady_state_matches_schedule(self, nodes, z):
@@ -310,7 +289,7 @@ def test_the_engine_sends_and_delivers_as_the_reference_addresses(period, mode):
     trace = simulate(mode, nodes, z)
     slots = reference_sets(mode, nodes, z)
     delivered = {}  # slot -> receiving nodes
-    for _, node, t, _ in trace._delivered:
+    for _, node, t, _ in trace.deliveries:
         delivered.setdefault(t, set()).add(node)
     for t, _, sent, touched, *_ in trace._replay(1, trace.total_slots):
         direction, on_air = slots[(t - 1) % len(slots)]
@@ -564,8 +543,37 @@ def test_trace_text_is_pinned(mode, nodes, z):
     assert (_sha(trace_to_csv_text(trace)), _sha(render_trace(trace))) == TRACE_DIGESTS[mode, nodes, z]
 
 
+class _Text:
+    """Prints as its text, so the repr of a structure holding it reads as the text says."""
+
+    def __init__(self, text):
+        self.text = text
+
+    def __repr__(self):
+        return self.text
+
+
+def _old_packet(packet, nodes):
+    """A bit index as the retired ``PacketId`` dataclass printed it: direction, seq, origin."""
+    d = packet & 1
+    return "PacketId(direction=%r, seq=%d, origin=%d)" % ((FORWARD, REVERSE)[d], (packet >> 1) + 1, (1, nodes)[d])
+
+
+def _old_snapshot(rows, nodes):
+    """The held rows after a slot as the retired ``SlotRecord.stored`` printed them:
+    (node, direction, frozenset of packets), forward row first, node order. A held label is a
+    lone packet, so no set's element order rests on the hash seed."""
+    return tuple([
+        (n, direction, _Text("frozenset({%s})" % ", ".join([_old_packet(p, nodes) for p in packetsim._bits(label)])))
+        for direction, row in zip((FORWARD, REVERSE), rows)
+        for n, label in enumerate(row)
+        if label
+    ])
+
+
 # sha256 of repr([rec.stored for rec in trace.slots]) for each TRACE_DIGESTS
-# case, taken while SlotRecord still built its stored snapshot eagerly
+# case, taken while SlotRecord still built its stored snapshot eagerly; the held
+# rows the replay yields, printed as those snapshots were, must reproduce them
 STORED_DIGESTS = {
     ("NC", 6, 2): "cc6254f5b5e4c6ea343887e045fe874f99b29d2d65a591fc267f769ba187f52c",
     ("NC", 6, 5): "68133e28c0020e512b21dd8e35c48cd796cd17a97d550877eb6b4ff1267bc993",
@@ -597,11 +605,13 @@ STORED_DIGESTS = {
 @pytest.mark.parametrize("mode,nodes,z", sorted(STORED_DIGESTS))
 def test_stored_snapshots_are_pinned(mode, nodes, z):
     trace = simulate(mode, nodes, z, fixed_periods(mode, nodes, z))
-    assert _sha(repr([rec.stored for rec in trace.slots])) == STORED_DIGESTS[mode, nodes, z]
+    snapshots = [_old_snapshot(rows, nodes) for *_, rows in trace._replay(1, trace.total_slots)]
+    assert _sha(repr(snapshots)) == STORED_DIGESTS[mode, nodes, z]
 
 
 # sha256 of (repr(list(trace.injections.items())), repr(trace.deliveries)) for
-# each TRACE_DIGESTS case, taken while the engine built them eagerly
+# each TRACE_DIGESTS case, taken while they held PacketId and Delivery objects;
+# the bit-index fields, printed as those objects were, must reproduce them
 PACKET_DIGESTS = {
     ("NC", 6, 2): (
         "4f6677fda25acb96f2bf564b10d64706d0cdeb4e85d2cf89d0d5feecaa40fd1f",
@@ -705,37 +715,23 @@ PACKET_DIGESTS = {
 @pytest.mark.parametrize("mode,nodes,z", sorted(PACKET_DIGESTS))
 def test_injections_and_deliveries_are_pinned(mode, nodes, z):
     trace = simulate(mode, nodes, z, fixed_periods(mode, nodes, z))
-    got = (_sha(repr(list(trace.injections.items()))), _sha(repr(trace.deliveries)))
-    assert got == PACKET_DIGESTS[mode, nodes, z]
+    injections = [(_Text(_old_packet(p, nodes)), t) for p, t in trace.injections.items()]
+    deliveries = [
+        _Text("Delivery(packet=%s, node=%d, slot=%d, latency=%d)" % (_old_packet(p, nodes), node, t, latency))
+        for p, node, t, latency in trace.deliveries
+    ]
+    assert (_sha(repr(injections)), _sha(repr(deliveries))) == PACKET_DIGESTS[mode, nodes, z]
 
 
 class TestPacketsOnDemand:
-    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
-    @given(st.integers(3, 64), st.sampled_from((FORWARD, REVERSE)), st.integers(1, 500))
-    def test_packet_round_trips_through_its_bit_index(self, nodes, direction, seq):
-        pid = PacketId(direction, seq, 1 if direction == FORWARD else nodes)
-        trace = SimTrace(ScheduleConfig(nodes, 2, MODE_NC))
-        assert trace._packet(pid.alphabet_index) == pid
-
     @pytest.mark.parametrize("run", [run_tr_sim, run_nc_sim])
     def test_measuring_builds_nothing(self, run):
+        # measuring reads the bit-index fields the run filled; only slot records are built on demand
         trace = run(6, 3)
         measured_delivery_rate(trace)
         measured_latency(trace, FORWARD)
         measured_latency(trace, REVERSE)
-        assert not {"injections", "deliveries", "slots", "schedule"} & set(vars(trace))
-        assert trace.deliveries is trace.deliveries
-        assert {"injections", "deliveries"} <= set(vars(trace))
-
-    def test_table4_builds_no_packets_or_deliveries(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a PacketId or Delivery was built")
-
-        monkeypatch.setattr(packetsim, "PacketId", refuse)
-        monkeypatch.setattr(packetsim, "Delivery", refuse)
-        assert len(harness.table4_rows(dict(harness.DEFAULTS))) == 64
-        with pytest.raises(AssertionError):
-            run_nc_sim(4, 2).deliveries
+        assert "slots" not in vars(trace)
 
 
 class TestSlotRecordsOnDemand:
@@ -754,6 +750,20 @@ class TestSlotRecordsOnDemand:
         first = trace.slots
         assert trace.slots is first
         assert len(first) == trace.total_slots
+
+    def test_records_stay_under_the_replay_bound(self):
+        # 1,800 slots under the replay's bound; records that copied both held rows per slot took 3.00 MB.
+        # At 7,200 slots records still pass their bound (12.7 MB against 7.7 MB): labels gain a bit per packet
+        tracemalloc.start()
+        try:
+            trace = run_tr_sim(20, 3, num_periods=300)
+            trace.slots
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = 400 * trace.total_slots + 200 * trace.nodes * (trace.total_slots // trace.period + 1)
+        assert (trace.total_slots, bound) == (1800, 1_924_000)
+        assert peak < bound, peak
 
     def test_trace_text_builds_no_slot_records(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -789,15 +799,14 @@ class TestNoSlotLog:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (trace.total_slots, len(trace._delivered)) == ran
+        assert (trace.total_slots, len(trace.deliveries)) == ran
         assert peak < 64_000, peak
 
     @pytest.mark.parametrize("mode", [MODE_TR, MODE_NC])
     def test_reading_a_trace_runs_no_wrapped_function(self, monkeypatch, mode):
         # perfbench wraps these four; a replay that called them would add to a traced run's counts
         def read(trace):
-            stored = [rec.stored for rec in trace.slots]
-            return trace.slots, stored, trace.deliveries, render_trace(trace), trace_to_csv_text(trace)
+            return trace.slots, render_trace(trace), trace_to_csv_text(trace)
 
         want, trace = read(simulate(mode, 7, 3)), simulate(mode, 7, 3)
 
@@ -827,15 +836,16 @@ class TestSlotRecordProperties:
         broadcasters = {n for direction, on_air in schedule.sets if direction == BROADCAST for n in on_air}
 
         def valid(label):
-            return isinstance(label, frozenset) and label and all(p in trace.injections for p in label)
+            return type(label) is int and label > 0 and all(p in trace.injections for p in packetsim._bits(label))
 
         assert len(trace.slots) == trace.total_slots
         assert [d for rec in trace.slots for d in rec.deliveries] == trace.deliveries
-        for rec in trace.slots:
+        for rec, (t, *_, rows) in zip(trace.slots, trace._replay(1, trace.total_slots)):
+            assert rec.slot == t
             assert set(rec.transmissions) <= set(rec.scheduled)
             assert all(valid(label) for label in rec.transmissions.values())
             assert all(valid(label) and n in broadcasters for n, label in rec.xors)
-            assert all(valid(label) for _, _, label in rec.stored)
+            assert all(valid(label) for row in rows for label in row if label)
 
     @settings(
         max_examples=15,

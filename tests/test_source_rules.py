@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 from test_wrap_points import _wraps
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "multihop").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "multihop").glob("*.py"))
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
@@ -46,3 +47,37 @@ def test_only_schedule_and_capacity_name_the_period_columns():
     reads the columns as arrays; a third module naming ``period_events`` would group them again."""
     naming = [path.name for path in SOURCES if re.search(r"\bperiod_events\b", path.read_text())]
     assert naming == ["capacity.py", "schedule.py"]
+
+
+def _defined(tree):
+    """Names a module defines at its top level: functions, classes and assigned constants."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.Assign):
+            yield from [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            yield node.target.id
+
+
+def _read(path):
+    """Names a file reads, bare or as an attribute; importing a name does not read it."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def test_every_public_name_has_a_reader_outside_the_tests():
+    """Each public top-level function, class or constant of ``src/multihop`` is read by the program,
+    a demo or the benchmark's wraps. A name only tests read is API kept for its tests, and goes."""
+    read = {name for path in [*SOURCES, *sorted((ROOT / "demos").glob("*.py"))] for name in _read(path)}
+    read |= {attr for _, attr, _, _ in _wraps()}
+    unread = [
+        "%s.%s" % (path.stem, name)
+        for path in SOURCES
+        for name in _defined(ast.parse(path.read_text()))
+        if not name.startswith("_") and name not in read
+    ]
+    assert unread == []
