@@ -12,24 +12,27 @@ direction in its own half.
 forms, ``period_events``, as numpy index arrays of slot, transmitter and
 receiver, stream by stream in the order they are made: each stream's forward
 events, then its reverse ones, with route positions mapped onto layout indices.
-One (slot x node) on-air matrix, inverted in place after the clash check, and a
-received-power matrix P = Pt * K * (d_ref / D)^eta give every event's SINR: an
-event's signal is P[rx, tx], and its interference is the sum of P[rx] over the
-nodes on air in its slot, the off-air nodes' powers zeroed rather than
-multiplied by a mask and its own transmitter masked out. This is the physical
-interference model of Gupta and Kumar (The Capacity of Wireless Networks, IEEE
-Trans. IT 2000). The interference sums are taken over blocks of events, each a
-gather of about 128 KB of P's rows, so a call's memory does not grow with
-events x nodes; each event's row and its sum are the same in any block and any
-order. P is built in place in a copy of the layout's distance matrix D. It
-depends only on the layout and the radio, so it is built once per layout and
-radio, together with the node pairs closer than the reference distance, and
-reused read-only by every later call with that geometry object and an equal
-radio. Each direction's bottleneck is the Shannon rate of the lowest SINR of
-its run of events. A report keeps its call's radio, SINRs and (stream, nodes,
-TR phase) per stream; its cached ``events`` rebuilds the event rows from those
-closed forms and sorts them, with their SINRs, into ``reception_events`` order,
-as each error message picks its first offending event in that order.
+This is the physical interference model of Gupta and Kumar (The Capacity of
+Wireless Networks, IEEE Trans. IT 2000), with received powers
+Pt * K * (d_ref / D)^eta. A route is a run of one row, so every event's signal
+comes from a row neighbour of its receiver: each node's powers from its row
+neighbours are kept apart from the far-field matrix P, which holds every other
+pair's. A half-period's senders are on air only in its first min(Z, N) slots,
+so each slot takes a place among at most 2 x min(Z, N) rows of a (place x node)
+on-air matrix, whatever Z is. One product of P with those rows gives every
+event's far-field interference; the other row neighbour's power is added when it
+is on air, and the signal never enters the sum, so no signal is subtracted and
+small interference stays exact. Non-finite far-field powers are set apart and
+added only when on the air, so an off-air inf adds nothing (inf x 0 is nan). P
+is built in place in a copy of the layout's distance matrix. It depends only on
+the layout and the radio, so it is built once per layout and radio, together
+with the row-neighbour powers and the node pairs closer than the reference
+distance, and reused read-only by every later call with that geometry object and
+an equal radio. Each direction's bottleneck is the Shannon rate of the lowest
+SINR of its run of events. A report keeps its call's radio, SINRs and (stream,
+nodes, TR phase) per stream; its cached ``events`` rebuilds the event rows from
+those closed forms and sorts them, with their SINRs, into ``reception_events``
+order, as each error message picks its first offending event in that order.
 
 The scalar reference the array path is tested against is ``reception_events``,
 which reads the same sorted rows as the ``events`` view, and ``event_sinr``'s
@@ -138,7 +141,7 @@ def _ordered(mode, z, streams):
         slot, tx, rx = period_events(mode, z, nodes, opposite)
         parts.append((slot, np.full(len(tx), stream), tx, rx))
     rows = np.stack([np.concatenate(a) for a in zip(*parts)], axis=1)
-    order = np.lexsort(rows.T[::-1])
+    order = np.array(sorted(range(len(rows)), key=rows.tolist().__getitem__))  # np.lexsort takes 14 KB at once
     return order, rows[order]
 
 
@@ -187,30 +190,31 @@ def _first(bad, ordered):
     return order[i], rows[i]
 
 
-def _too_close(geometry, ordered, tx_at, rx_at, on_air, close):
+def _too_close(geometry, ordered, tx_at, rx_at, place, on_air, close):
     """The scalar path's error: the first event in ``reception_events`` order
     that hears a node on air closer than the reference, at its own link if that
     is too close, else at its first such interferer in (stream, route position) order."""
     order, rows = ordered
     slot = rows[:, 0]
-    i = next(i for i, e in enumerate(order) if (close[rx_at[e]] & on_air[slot[i]]).any())  # a row at a time
+    i = next(i for i, e in enumerate(order) if (close[rx_at[e]] & on_air[place[e]]).any())  # a row at a time
     e = order[i]
     j = next(j for j in [e, *order[slot == slot[i]]] if close[rx_at[e], tx_at[j]])  # the slot's transmitters
     distance = geometry.distance_matrix[rx_at[e], tx_at[j]]
     return ValueError("distance %.3f m below the %.1f m reference" % (distance, REFERENCE_DISTANCE_M))
 
 
-_BLOCK_ENTRIES = 16_384  # float64 entries (128 KB) of power rows gathered per block of events
-
-
 @lru_cache(maxsize=1)
 def _received_power(geometry, radio):
-    """Read-only P[i, j], power node j delivers to node i, with a zero diagonal,
-    and the off-diagonal pairs closer than the reference (None when none are).
+    """Read-only far-field powers P[i, j], power node j delivers to node i; each
+    node's powers from its row neighbours below and above, ``near[0 or 1, i]``;
+    the off-diagonal pairs closer than the reference; and the non-finite far-field
+    powers, zero elsewhere. The last two are None when there are none.
 
     P is built in place in the layout's distance-matrix copy, one operation of
-    Pt * K * (d_ref / D)^eta at a time. Keyed on the geometry object and the
-    radio's values: a sweep or a scan evaluates one layout and one radio at a time.
+    Pt * K * (d_ref / D)^eta at a time; its diagonal, row-neighbour and non-finite
+    entries are then zeroed, so a product with an on-air matrix adds only finite
+    powers. Keyed on the geometry object and the radio's values: a sweep or a scan
+    evaluates one layout and one radio at a time.
     """
     power = geometry.distance_matrix  # a copy, turned into P in place
     np.fill_diagonal(power, np.inf)  # no node hears itself: zero power on the diagonal
@@ -219,8 +223,18 @@ def _received_power(geometry, radio):
         np.divide(REFERENCE_DISTANCE_M, power, out=power)
         power **= radio.path_loss_exponent
         power *= radio.tx_power_w * path_constant(radio)
-    power.flags.writeable = close.flags.writeable = False
-    return power, close if close.any() else None
+    above = np.arange(1, len(power))
+    above = above[above % geometry.config.nodes_per_stream != 0]  # each node with a row neighbour below it
+    near = np.zeros((2, len(power)))
+    near[0, above], near[1, above - 1] = power[above, above - 1], power[above - 1, above]
+    power[above, above - 1] = power[above - 1, above] = 0.0
+    finite = np.isfinite(power)
+    odd = None if finite.all() else np.where(finite, 0.0, power)
+    power[~finite] = 0.0
+    for array in power, near, close, odd:
+        if array is not None:
+            array.flags.writeable = False
+    return power, near, close if close.any() else None, odd
 
 
 def stream_capacity(geometry, routes, radio, mode, z, tr_phase="same"):
@@ -244,33 +258,29 @@ def stream_capacity(geometry, routes, radio, mode, z, tr_phase="same"):
         parts.append((slot, at[tx - 1], at[rx - 1]))
         starts += [starts[-1] + len(tx) // 2, starts[-1] + len(tx)]  # its reverse run, the next stream
     slot, tx_at, rx_at = (np.concatenate(a) for a in zip(*parts))
-    del parts, made, tx, rx  # the per-stream arrays, before the power rows are gathered
+    del parts, made, tx, rx  # the per-stream arrays, before the on-air rows are built
 
-    power, close = _received_power(geometry, radio)
-    shape = (int(slot.max()) + 1, len(power))  # row = slot, so TR's on-air matrix grows with Z
-    if shape[0] * shape[1] > 2**28:  # bools: 256 MiB
-        raise ValueError("on-air matrix too large: %d slots x %d nodes at z=%d, over the 2**28-entry limit"
-                         % (*shape, z))
-    on_air = np.zeros(shape, dtype=bool)
-    on_air[slot, tx_at] = True
-    clash = on_air[slot, rx_at]
+    power, near, close, odd = _received_power(geometry, radio)
+    # a half-period's senders are on air in its first ``width`` slots only, so its
+    # slots take ``width`` places: at most 2 x min(Z, N) rows, whatever Z is
+    width = min(z, max(nodes for _, nodes, _ in streams))
+    place = (slot - 1) // z * width + (slot - 1) % z
+    on_air = np.zeros((period(mode, z) // z * width, len(power)), dtype=bool)
+    on_air[place, tx_at] = True
+    clash = on_air[place, rx_at]
     if clash.any():
         _, (s, _, t, r) = _first(clash, _ordered(mode, z, streams))
         raise ValueError("slot %d schedules node %d to receive from node %d while transmitting" % (s, r, t))
-    off_air = np.logical_not(on_air, out=on_air)  # in place: no second (slot x node) matrix
-    heard = np.empty(len(rx_at))  # interference per event, summed one block of events at a time
-    step = max(1, _BLOCK_ENTRIES // len(power))
+    if close is not None and (close[rx_at] & on_air[place]).any():
+        raise _too_close(geometry, _ordered(mode, z, streams), tx_at, rx_at, place, on_air, close)
+    up = np.greater(tx_at, rx_at).astype(int)  # 1 where the signal comes from the row neighbour above
+    other = (2 * rx_at - tx_at) % len(power)  # the other row neighbour; where it has none, near is 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # non-finite SINRs are raised below
-        for s in (slice(i, i + step) for i in range(0, len(rx_at), step)):
-            deaf = off_air[slot[s]]  # (event, node): node off air in the event's slot
-            if close is not None and (close[rx_at[s]] > deaf).any():
-                raise _too_close(geometry, _ordered(mode, z, streams), tx_at, rx_at, ~off_air, close)
-            block = power[rx_at[s]]
-            np.putmask(block, deaf, 0.0)  # zeroed, not multiplied by a mask: an off-air inf adds nothing
-            block[np.arange(len(block)), tx_at[s]] = 0.0  # masked, not subtracted: keeps small interference exact
-            heard[s] = block.sum(axis=1)
-            del block  # before the next block is gathered
-        sinrs = power[rx_at, tx_at] / (heard + noise_power(radio))
+        heard = (power @ on_air.T.astype(float))[rx_at, place]  # cast: a bool operand skips BLAS, 80x slower
+        heard += np.where(on_air[place, other], near[1 - up, rx_at], 0.0)  # chosen, not multiplied: inf x 0 is nan
+        if odd is not None:
+            heard += np.where(on_air[place], odd[rx_at], 0.0).sum(axis=1)
+        sinrs = near[up, rx_at] / (heard + noise_power(radio))
     finite = np.isfinite(sinrs)
     if not finite.all():
         e, (_, k, t, r) = _first(~finite, _ordered(mode, z, streams))

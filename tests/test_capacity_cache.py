@@ -82,11 +82,16 @@ def test_cached_arrays_are_read_only_and_the_distances_untouched(power_builds, s
     geo, routes = rows(6, **spacing)
     before = geo.distance_matrix
     stream_capacity(geo, routes, RADIO_A, MODE_NC, 2)
-    power, close = capacity._received_power(geo, RADIO_A)
+    power, near, close, odd = capacity._received_power(geo, RADIO_A)
     assert len(power_builds) == 1, "the lookup above reads the cached entry"
     assert not power.diagonal().any()
+    neighbours = [(i, i + 1) for i in range(12) if i % 6 != 5]  # row neighbours, below then above
+    assert not any(power[i, j] or power[j, i] for i, j in neighbours), "row-neighbour powers leave the far field"
+    assert near.shape == (2, 12) and all(near[1, i] == near[0, j] > 0 for i, j in neighbours)
+    assert not near[0, ::6].any() and not near[1, 5::6].any(), "a row's end nodes have one row neighbour"
     assert (close is None) == (not spacing), "the close-pair mask is kept only when some pair is close"
-    for array in [power] if close is None else [power, close]:
+    assert odd is None, "no power overflows at this radio"
+    for array in [a for a in (power, near, close, odd) if a is not None]:
         assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             array[0, 1] = 0
@@ -97,9 +102,9 @@ def test_cached_arrays_are_read_only_and_the_distances_untouched(power_builds, s
 @pytest.mark.parametrize("mode", [MODE_TR, MODE_NC])
 def test_a_call_peaks_below_an_events_by_nodes_matrix(power_builds, mode):
     """Two 100-node rows: 396 events x 200 nodes of float64 would be 634 KB.
-    Interference is summed in blocks of events, so a warm call peaks below
-    400 KB; a cold call also builds the 320 KB power matrix, in place, and
-    peaks below 800 KB."""
+    Interference is one product of the power matrix with the on-air rows, so a
+    warm call peaks below 400 KB; a cold call also builds the 320 KB power
+    matrix, in place, and peaks below 800 KB."""
     geo, routes = rows(100)
     peaks = []
     for _ in ("cold", "warm"):
@@ -115,9 +120,10 @@ def test_a_call_peaks_below_an_events_by_nodes_matrix(power_builds, mode):
 
 
 def test_a_warm_call_gathers_no_cast_buffer():
-    """A warm TR Z 16 call on two 100-node rows holds its gathered power rows,
-    their off-air mask and its own arrays, about 170 KB; multiplying the rows by
-    a bool mask also took a 64 KB float copy of it and peaked at 235 KB."""
+    """A warm TR Z 16 call on two 100-node rows holds its 32 on-air rows as
+    floats, their 51 KB product with the power matrix and its own arrays, about
+    130 KB; gathering power rows by event and multiplying them by a bool mask
+    took a 64 KB float copy of the mask and peaked at 235 KB."""
     geo, routes = rows(100)
     stream_capacity(geo, routes, RADIO_A, MODE_TR, 2)  # builds the received-power matrix
     tracemalloc.start()

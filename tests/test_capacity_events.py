@@ -12,14 +12,12 @@ sums they feed.
 
 import tracemalloc
 import warnings
-from contextlib import nullcontext
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multihop import capacity
 from multihop.capacity import ReceptionEvent, event_sinr, reception_events, stream_capacity
 from multihop.layout import LayoutConfig, NodeGeometry, build_layout, stream_route
 from multihop.radio import RadioConfig, shannon_rate
@@ -33,7 +31,7 @@ from multihop.schedule import (
     tr_schedule,
 )
 from reference import receivers
-from test_capacity_kernel import PROPERTY_SETTINGS, REL, close, event_blocks, radios, scenarios, schedule_objects
+from test_capacity_kernel import PROPERTY_SETTINGS, REL, close, radios, scenarios, schedule_objects
 from test_schedule import periods
 
 BOTTLENECKS = ("forward_bottleneck_bps", "reverse_bottleneck_bps", "capacity_bps")
@@ -182,35 +180,30 @@ def test_rebuilt_events_match_the_schedule_objects(nodes, mode, streams, tr_phas
         assert [ev for ev, _, _ in rep.events] == [ev for ev in walked if ev.stream == stream]
 
 
-BLOCK_EVENTS = [1, 7, None]  # on 396 events: one per block; 56 blocks of 7 and one of 4; the default, 81 per block
-
-
-def blocks_of(events, geometry):
-    return nullcontext() if events is None else event_blocks(events, geometry)
-
-
 @pytest.mark.parametrize("mode", [MODE_TR, MODE_NC])
 @pytest.mark.parametrize("tr_phase", ["same", "opposite"])
-def test_block_size_leaves_reports_bit_identical(mode, tr_phase):
-    """Each event's interference is the same masked row summed the same way
-    in any block, so reports, whose ``==`` compares every SINR's bytes, are
-    equal whatever the block size."""
+def test_a_z_past_the_route_leaves_sinrs_bit_identical(mode, tr_phase):
+    """From Z = N on, a half-period's senders are on air in its first N slots,
+    each alone in its stream, so its slots take the same on-air rows at every
+    Z: reports keep every SINR's bytes and differ only in Z and capacity."""
     geometry, routes = rows(100, 2)
     radio = RadioConfig()
-    results = []
-    for events in BLOCK_EVENTS:
-        with blocks_of(events, geometry):
-            results.append([stream_capacity(geometry, routes, radio, mode, z, tr_phase=tr_phase) for z in (2, 5, 16)])
-    one, partial, default = results
-    assert one == partial == default
+    calls = [stream_capacity(geometry, routes, radio, mode, z, tr_phase=tr_phase) for z in (100, 101, 5_000)]
+    for stream in routes:
+        first, *later = (reports[stream] for reports in calls)
+        for rep in later:
+            assert rep._events_of_call == first._events_of_call
+            assert (rep.forward_bottleneck_bps, rep.reverse_bottleneck_bps) == (
+                first.forward_bottleneck_bps,
+                first.reverse_bottleneck_bps,
+            )
 
 
-@pytest.mark.parametrize("events", BLOCK_EVENTS)
-def test_close_rows_fail_at_the_first_offender_in_a_later_block(events):
+def test_close_rows_fail_at_the_first_offender():
     """Rows 0.5 m apart, TR, Z = 75, opposite phase: in the order the kernel
     makes events, event 74 of 596 is the first whose receiver hears the other
-    row's opposite node on air. That lies past the first block at every block
-    size tried, the default's 54 events included."""
+    row's opposite node on air, and the error is the scalar path's first one in
+    ``reception_events`` order."""
     nodes, z = 150, 75
     geometry = NodeGeometry(LayoutConfig(nodes_per_stream=nodes, num_streams=2, row_separation_m=0.5))
     routes = {s: stream_route(geometry, s, 1, nodes) for s in (1, 2)}
@@ -226,10 +219,9 @@ def test_close_rows_fail_at_the_first_offender_in_a_later_block(events):
         for stream, opposite in ((1, False), (2, True))
         for s, t, r in zip(*(c.tolist() for c in period_events(MODE_TR, z, nodes, opposite)))
     ]
-    first = next(i for i, row in enumerate(made) if row in failing)
-    assert first == 74 and first >= (events or capacity._BLOCK_ENTRIES // len(geometry.nodes()))
+    assert next(i for i, row in enumerate(made) if row in failing) == 74
     message = next(iter(failing.values()))  # the first offender in reception_events order
     assert message == "distance 0.500 m below the 1.0 m reference"
-    with blocks_of(events, geometry), pytest.raises(ValueError) as exc:
+    with pytest.raises(ValueError) as exc:
         stream_capacity(geometry, routes, radio, MODE_TR, z, tr_phase="opposite")
     assert str(exc.value) == message

@@ -9,13 +9,11 @@ rounding of a float64 sum of a few dozen positive terms.
 import math
 import warnings
 from dataclasses import replace
-from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from multihop import capacity
 from multihop.capacity import event_sinr, reception_events, stream_capacity
 from multihop.layout import LayoutConfig, NodeGeometry, build_layout, stream_route
 from multihop.radio import RadioConfig, shannon_rate
@@ -91,26 +89,9 @@ def schedule_objects(routes, mode, z, tr_phase):
     return schedules
 
 
-def event_blocks(events, geometry):
-    """Make ``stream_capacity`` sum interference ``events`` events at a time
-    on ``geometry``'s nodes."""
-    return mock.patch.object(capacity, "_BLOCK_ENTRIES", events * len(geometry.nodes()))
-
-
 @PROPERTY_SETTINGS
 @given(scenario=scenarios(), radio=radios)
 def test_matrix_pass_matches_the_scalar_reference(scenario, radio):
-    check_matrix_pass(scenario, radio)
-
-
-@PROPERTY_SETTINGS
-@given(scenario=scenarios(), radio=radios)
-def test_matrix_pass_matches_the_scalar_reference_in_3_event_blocks(scenario, radio):
-    with event_blocks(3, scenario[0]):  # every scenario has at least four events
-        check_matrix_pass(scenario, radio)
-
-
-def check_matrix_pass(scenario, radio):
     geometry, routes, mode, z, tr_phase = scenario
     reports = stream_capacity(geometry, routes, radio, mode, z, tr_phase=tr_phase)
     schedules = schedule_objects(routes, mode, z, tr_phase)
@@ -127,6 +108,22 @@ def check_matrix_pass(scenario, radio):
             assert ev.interferers == on_air - {(ev.stream, ev.transmitter)}
 
 
+def test_interference_far_below_the_signal_stays_exact():
+    """One 40-node row, NC Z 19, eta 6 and almost no noise: besides its
+    transmitter, an event hears only nodes 18 or more hops away, under 3e-8 of
+    its signal. Interference taken as the total on air minus the signal loses
+    about 1e-16 / 3e-8 of itself and misses these SINRs by about 5e-9 relative;
+    summed without the signal, it matches the scalar reference."""
+    geometry = NodeGeometry(LayoutConfig(nodes_per_stream=40, num_streams=1))
+    routes = {1: stream_route(geometry, 1, 1, 40)}
+    radio = RadioConfig(path_loss_exponent=6.0, temperature_k=1e-30)
+    events = stream_capacity(geometry, routes, radio, MODE_NC, 19)[1].events
+    assert len(events) == 78
+    for ev, s, _ in events:
+        want = event_sinr(ev, geometry, routes, radio)
+        assert close(s, want), (ev, s, want)
+
+
 @PROPERTY_SETTINGS
 @given(scenario=scenarios(hop_length_m=0.5), radio=radios)
 def test_sub_reference_hops_still_rejected(scenario, radio):
@@ -138,17 +135,6 @@ def test_sub_reference_hops_still_rejected(scenario, radio):
 @PROPERTY_SETTINGS
 @given(scenario=scenarios(row_separation_m=0.5), radio=radios)
 def test_close_rows_rejected_exactly_when_the_scalar_path_rejects(scenario, radio):
-    check_close_rows(scenario, radio)
-
-
-@PROPERTY_SETTINGS
-@given(scenario=scenarios(row_separation_m=0.5), radio=radios)
-def test_close_rows_rejected_exactly_when_the_scalar_path_rejects_in_3_event_blocks(scenario, radio):
-    with event_blocks(3, scenario[0]):  # every scenario has at least four events
-        check_close_rows(scenario, radio)
-
-
-def check_close_rows(scenario, radio):
     """Rows 0.5 m apart fail only where a receiver hears the other row's
     opposite node on air; the matrix pass must fail on the same scenarios."""
     geometry, routes, mode, z, tr_phase = scenario
@@ -171,17 +157,6 @@ near_reference = st.tuples(st.sampled_from([0.3, 0.45, 0.8, 1.5]), st.sampled_fr
 @settings(PROPERTY_SETTINGS, max_examples=100)
 @given(scenario=near_reference, radio=radios)
 def test_reference_error_names_the_scalar_paths_pair(scenario, radio):
-    check_reference_message(scenario, radio)
-
-
-@settings(PROPERTY_SETTINGS, max_examples=100)
-@given(scenario=near_reference, radio=radios)
-def test_reference_error_names_the_scalar_paths_pair_in_3_event_blocks(scenario, radio):
-    with event_blocks(3, scenario[0]):  # every scenario has at least four events
-        check_reference_message(scenario, radio)
-
-
-def check_reference_message(scenario, radio):
     """Hops and rows near the 1 m reference: the matrix pass fails exactly
     when the scalar path does, naming the same distance. The scalar path
     meets the first event in ``reception_events`` order that hears a node too

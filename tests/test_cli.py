@@ -297,6 +297,11 @@ class TestExitCodes:
             "TR nodes=5 z=1000000000: delivery rate 1/1000000000 per slot, latency forward 4, reverse 4\n", ""
         )
 
+    def test_capacity_runs_a_huge_period(self, capsys):
+        assert cli.main(["capacity", "--mode", "TR", "--z", "1000000000", "--hops", "2"]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and out.count("  1000000002  1<-2  reverse ") == 2
+
     def test_simulate_refuses_a_trace_too_large_before_replaying_it(self, monkeypatch, capsys):
         engine, runs = packetsim._engine, []
 
