@@ -317,7 +317,7 @@ class TestLargeZ:
     """The on-air matrix has a row per place a slot takes in its half-period,
     at most 2 x min(Z, N), so a call's memory does not grow with Z."""
 
-    @pytest.mark.parametrize("z", [10**4, 10**6, 22_369_617])
+    @pytest.mark.parametrize("z", [10**4, 10**6, 22_369_616, 22_369_617])  # the last two straddle the old 2**28 limit
     def test_two_5_node_tr_rows_peak_under_16_kb(self, z):
         geo, routes = two_streams(5)
         peak, error = traced_peak(lambda: stream_capacity(geo, routes, RadioConfig(), MODE_TR, z))

@@ -199,12 +199,14 @@ def test_a_z_past_the_route_leaves_sinrs_bit_identical(mode, tr_phase):
             )
 
 
-def test_close_rows_fail_at_the_first_offender():
-    """Rows 0.5 m apart, TR, Z = 75, opposite phase: in the order the kernel
-    makes events, event 74 of 596 is the first whose receiver hears the other
-    row's opposite node on air, and the error is the scalar path's first one in
-    ``reception_events`` order."""
-    nodes, z = 150, 75
+@pytest.mark.parametrize("z", [75, 150, 10**6])
+def test_close_rows_fail_at_the_first_offender(z):
+    """Rows 0.5 m apart, TR, opposite phase: in the order the kernel makes
+    events, event 74 of 596 is the first whose receiver hears the other row's
+    opposite node on air, and the error is the scalar path's first one in
+    ``reception_events`` order. That holds with Z inside the 150-node route, at
+    its length and far past it, where the slots fold onto other on-air places."""
+    nodes = 150
     geometry = NodeGeometry(LayoutConfig(nodes_per_stream=nodes, num_streams=2, row_separation_m=0.5))
     routes = {s: stream_route(geometry, s, 1, nodes) for s in (1, 2)}
     radio = RadioConfig()

@@ -42,9 +42,12 @@ radios = st.builds(
 
 
 @st.composite
-def scenarios(draw, hop_length_m=100.0, row_separation_m=300.0, max_nodes=40, max_z=40):
+def scenarios(draw, hop_length_m=100.0, row_separation_m=300.0, max_nodes=40, max_z=40, past_route=False):
     """(geometry, routes, mode, z, tr_phase) over 1-2 rows of 3..max_nodes nodes,
-    Z from 2 up to max_z or the row's length.
+    Z from 2 up to max_z or the row's length; with ``past_route``, Z from one
+    past the row's length up to four times it, so every route is shorter than
+    Z and each half-period's slots fold onto as many on-air places as the
+    longest route has.
 
     Each row's route is a random run of at least three nodes, in either
     direction, so route lengths differ and routes may run backwards.
@@ -68,7 +71,7 @@ def scenarios(draw, hop_length_m=100.0, row_separation_m=300.0, max_nodes=40, ma
         source, destination = (high, low) if draw(st.booleans()) else (low, high)
         routes[stream] = stream_route(geometry, stream, source, destination)
     mode = draw(st.sampled_from([MODE_TR, MODE_NC]))
-    z = draw(st.integers(2, min(nodes, max_z)))
+    z = draw(st.integers(nodes + 1, 4 * nodes) if past_route else st.integers(2, min(nodes, max_z)))
     tr_phase = draw(st.sampled_from(["same", "opposite"]))
     return geometry, routes, mode, z, tr_phase
 
@@ -92,6 +95,16 @@ def schedule_objects(routes, mode, z, tr_phase):
 @PROPERTY_SETTINGS
 @given(scenario=scenarios(), radio=radios)
 def test_matrix_pass_matches_the_scalar_reference(scenario, radio):
+    check_matrix_pass(scenario, radio)
+
+
+@PROPERTY_SETTINGS
+@given(scenario=scenarios(past_route=True), radio=radios)
+def test_matrix_pass_matches_the_scalar_reference_with_z_past_the_route(scenario, radio):
+    check_matrix_pass(scenario, radio)
+
+
+def check_matrix_pass(scenario, radio):
     geometry, routes, mode, z, tr_phase = scenario
     reports = stream_capacity(geometry, routes, radio, mode, z, tr_phase=tr_phase)
     schedules = schedule_objects(routes, mode, z, tr_phase)
@@ -135,6 +148,16 @@ def test_sub_reference_hops_still_rejected(scenario, radio):
 @PROPERTY_SETTINGS
 @given(scenario=scenarios(row_separation_m=0.5), radio=radios)
 def test_close_rows_rejected_exactly_when_the_scalar_path_rejects(scenario, radio):
+    check_close_rows(scenario, radio)
+
+
+@PROPERTY_SETTINGS
+@given(scenario=scenarios(row_separation_m=0.5, past_route=True), radio=radios)
+def test_close_rows_rejected_exactly_when_the_scalar_path_rejects_with_z_past_the_route(scenario, radio):
+    check_close_rows(scenario, radio)
+
+
+def check_close_rows(scenario, radio):
     """Rows 0.5 m apart fail only where a receiver hears the other row's
     opposite node on air; the matrix pass must fail on the same scenarios."""
     geometry, routes, mode, z, tr_phase = scenario
@@ -149,14 +172,28 @@ def test_close_rows_rejected_exactly_when_the_scalar_path_rejects(scenario, radi
         stream_capacity(geometry, routes, radio, mode, z, tr_phase=tr_phase)
 
 
-near_reference = st.tuples(st.sampled_from([0.3, 0.45, 0.8, 1.5]), st.sampled_from([0.5, 0.9, 2.0])).flatmap(
+spacings = st.tuples(st.sampled_from([0.3, 0.45, 0.8, 1.5]), st.sampled_from([0.5, 0.9, 2.0]))
+near_reference = spacings.flatmap(
     lambda spacing: scenarios(hop_length_m=spacing[0], row_separation_m=spacing[1], max_nodes=9, max_z=4)
+)
+near_reference_past_the_route = spacings.flatmap(
+    lambda spacing: scenarios(hop_length_m=spacing[0], row_separation_m=spacing[1], max_nodes=9, past_route=True)
 )
 
 
 @settings(PROPERTY_SETTINGS, max_examples=100)
 @given(scenario=near_reference, radio=radios)
 def test_reference_error_names_the_scalar_paths_pair(scenario, radio):
+    check_reference_message(scenario, radio)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=100)
+@given(scenario=near_reference_past_the_route, radio=radios)
+def test_reference_error_names_the_scalar_paths_pair_with_z_past_the_route(scenario, radio):
+    check_reference_message(scenario, radio)
+
+
+def check_reference_message(scenario, radio):
     """Hops and rows near the 1 m reference: the matrix pass fails exactly
     when the scalar path does, naming the same distance. The scalar path
     meets the first event in ``reception_events`` order that hears a node too
