@@ -8,28 +8,33 @@ timeslot divides the two bottlenecks' sum by ``schedule.period``: Z when coded
 relaying moves both directions per cycle, 2Z when the cycle serves each
 direction in its own half.
 
-``stream_capacity`` takes a period's events straight from the schedules' closed
-forms, ``period_events``, as numpy index arrays of slot, transmitter and
-receiver, stream by stream in the order they are made: each stream's forward
-events, then its reverse ones, with route positions mapped onto layout indices.
 This is the physical interference model of Gupta and Kumar (The Capacity of
 Wireless Networks, IEEE Trans. IT 2000), with received powers
 Pt * K * (d_ref / D)^eta. A route is a run of one row, so every event's signal
 comes from a row neighbour of its receiver: each node's powers from its row
 neighbours are kept apart from the far-field matrix P, which holds every other
-pair's. A half-period's senders are on air only in its first min(Z, N) slots,
-so each slot takes a place among at most 2 x min(Z, N) rows of a (place x node)
-on-air matrix, whatever Z is. One product of P with those rows gives every
-event's far-field interference; the other row neighbour's power is added when it
-is on air, and the signal never enters the sum, so no signal is subtracted and
-small interference stays exact. Non-finite far-field powers are set apart and
-added only when on the air, so an off-air inf adds nothing (inf x 0 is nan). P
-is built in place in a copy of the layout's distance matrix. It depends only on
-the layout and the radio, so it is built once per layout and radio, together
-with the row-neighbour powers and the node pairs closer than the reference
-distance, and reused read-only by every later call with that geometry object and
-an equal radio. Each direction's bottleneck is the Shannon rate of the lowest
-SINR of its run of events. A report keeps its call's radio, SINRs and (stream,
+pair's. P, built in place in a copy of the layout's distance matrix, the
+row-neighbour powers and the pairs closer than the reference distance depend
+only on the layout and the radio, so they are built once per geometry object
+and equal radio and reused read-only.
+
+``stream_capacity`` takes a period's events from the schedules' closed forms as
+numpy index arrays, stream by stream in the order they are made: each stream's
+forward events, then its reverse ones. A link and its slot are separate facts:
+every hop carries one event per direction per period in both modes, and only
+the slot moves with mode, Z and TR phase. So a call's links, ``period_links``
+on layout indices with each receiver's other row neighbour and both row-neighbour
+powers, are built once per layout, routes and radio and reused read-only too; a
+call computes only its ``period_slots`` and what depends on them. A
+half-period's senders are on air only in its first min(Z, N) slots, so each slot
+takes a place among at most 2 x min(Z, N) rows of a (place x node) on-air
+matrix, whatever Z is. One product of P with those rows gives every event's
+far-field interference; the other row neighbour's power is added when it is on
+air, and the signal never enters the sum, so no signal is subtracted and small
+interference stays exact. Non-finite far-field powers are set apart and added
+only when on the air, so an off-air inf adds nothing (inf x 0 is nan). Each
+direction's bottleneck is the Shannon rate of the lowest SINR of its run of
+events. A report keeps its call's radio, SINRs and (stream,
 nodes, TR phase) per stream; its cached ``events`` rebuilds the event rows from
 those closed forms and sorts them, with their SINRs, into ``reception_events``
 order, as each error message picks its first offending event in that order.
@@ -47,17 +52,9 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from multihop.radio import REFERENCE_DISTANCE_M, noise_power, path_constant, received_power, shannon_rate, sinr
-from multihop.schedule import (
-    FORWARD,
-    MODE_TR,
-    REVERSE,
-    TR_PHASES,
-    ScheduleConfig,
-    nc_schedule,  # with tr_schedule, unused here: perfbench/tracer.py wraps both at this module
-    period,
-    period_events,
-    tr_schedule,
-)
+from multihop.schedule import FORWARD, MODE_TR, REVERSE, TR_PHASES, ScheduleConfig, period, period_events
+from multihop.schedule import period_links, period_slots
+from multihop.schedule import nc_schedule, tr_schedule  # unused here: perfbench/tracer.py wraps both at this module
 
 
 @dataclass(frozen=True)
@@ -233,34 +230,46 @@ def _received_power(geometry, radio):
     power[~finite] = 0.0
     for array in power, near, close, odd:
         if array is not None:
-            array.flags.writeable = False
+            array.setflags(write=False)  # writes to ``array.flags`` hold memory gc does not free
     return power, near, close if close.any() else None, odd
+
+
+@lru_cache(maxsize=1)
+def _links(geometry, routes, radio):
+    """Read-only tx, rx and other-row-neighbour indices of the links of ``routes``, sorted (stream, route)
+    pairs, their signal and other-neighbour powers, and each stream's two run starts; not keyed on mode or Z."""
+    near = _received_power(geometry, radio)[1]
+    parts, starts = [], [0]  # lists, not generators or np.cumsum: both moved tracemalloc peaks
+    for _, route in routes:
+        tx, rx = period_links(len(route.nodes))
+        at = geometry.route_indices(route)  # route position - 1 -> matrix index
+        parts.append((at[tx - 1], at[rx - 1]))
+        starts += [starts[-1] + len(tx) // 2, starts[-1] + len(tx)]  # its reverse run, the next stream
+    tx_at, rx_at = (np.concatenate(a) for a in zip(*parts))
+    up = np.greater(tx_at, rx_at).astype(int)  # 1 where the signal comes from the row neighbour above
+    other = (2 * rx_at - tx_at) % near.shape[1]  # the other row neighbour; where it has none, near is 0
+    links = tx_at, rx_at, other, near[up, rx_at], near[1 - up, rx_at]
+    for array in links:
+        array.setflags(write=False)
+    return (*links, tuple(starts))
 
 
 def stream_capacity(geometry, routes, radio, mode, z, tr_phase="same"):
     """Capacity report per stream; interference crosses streams either way.
 
     Events come from the schedules' closed forms as index arrays, stream by
-    stream in the order ``period_events`` makes them: each stream's forward
+    stream in the order ``period_links`` lists them: each stream's forward
     events, then its reverse ones, so each direction's bottleneck is the
     minimum of one contiguous run. Only the ``events`` view and the error
     messages sort them into ``reception_events`` order; no schedule or event
     object is built unless ``events`` is read.
     """
     streams = _streams(routes, mode, z, tr_phase)
-    made, parts, starts = {}, [], [0]  # lists, not generators or np.cumsum: both moved tracemalloc peaks
-    for stream, nodes, opposite in streams:
-        key = (nodes, opposite)
-        if key not in made:  # streams of one length and phase share their events
-            made[key] = period_events(mode, z, *key)
-        slot, tx, rx = made[key]
-        at = geometry.route_indices(routes[stream])  # route position - 1 -> matrix index
-        parts.append((slot, at[tx - 1], at[rx - 1]))
-        starts += [starts[-1] + len(tx) // 2, starts[-1] + len(tx)]  # its reverse run, the next stream
-    slot, tx_at, rx_at = (np.concatenate(a) for a in zip(*parts))
-    del parts, made, tx, rx  # the per-stream arrays, before the on-air rows are built
-
-    power, near, close, odd = _received_power(geometry, radio)
+    power, _, close, odd = _received_power(geometry, radio)
+    tx_at, rx_at, other, signal, beside, starts = _links(geometry, tuple(sorted(routes.items())), radio)
+    slots = {key: period_slots(mode, z, *key) for key in {(n, o) for _, n, o in streams}}  # one per length and phase
+    slot = np.concatenate([slots[n, o] for _, n, o in streams])
+    del slots  # before the on-air rows are built
     # a half-period's senders are on air in its first ``width`` slots only, so its
     # slots take ``width`` places: at most 2 x min(Z, N) rows, whatever Z is
     width = min(z, max(nodes for _, nodes, _ in streams))
@@ -273,14 +282,12 @@ def stream_capacity(geometry, routes, radio, mode, z, tr_phase="same"):
         raise ValueError("slot %d schedules node %d to receive from node %d while transmitting" % (s, r, t))
     if close is not None and (close[rx_at] & on_air[place]).any():
         raise _too_close(geometry, _ordered(mode, z, streams), tx_at, rx_at, place, on_air, close)
-    up = np.greater(tx_at, rx_at).astype(int)  # 1 where the signal comes from the row neighbour above
-    other = (2 * rx_at - tx_at) % len(power)  # the other row neighbour; where it has none, near is 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # non-finite SINRs are raised below
         heard = (power @ on_air.T.astype(float))[rx_at, place]  # cast: a bool operand skips BLAS, 80x slower
-        heard += np.where(on_air[place, other], near[1 - up, rx_at], 0.0)  # chosen, not multiplied: inf x 0 is nan
+        heard += np.where(on_air[place, other], beside, 0.0)  # chosen, not multiplied: inf x 0 is nan
         if odd is not None:
             heard += np.where(on_air[place], odd[rx_at], 0.0).sum(axis=1)
-        sinrs = near[up, rx_at] / (heard + noise_power(radio))
+        sinrs = signal / (heard + noise_power(radio))
     finite = np.isfinite(sinrs)
     if not finite.all():
         e, (_, k, t, r) = _first(~finite, _ordered(mode, z, streams))

@@ -17,11 +17,14 @@ have a sender, so neither a run's time nor its memory grows with a period's empt
 drains it and keeps the held and known rows, the plan, its injections and its deliveries: no slot
 log, so measuring builds no ``SlotRecord`` (``slots`` builds them on first read). Records and
 trace text re-run the deterministic engine from slot 1 and fill in the empty slots; trace text
-names a packet from its bit index alone. A run is refused before it is planned if what it keeps
-could pass 2**31 B: 3(N+1) labels of about 40 B and a bit per packet (2 a period, 4 B per 30
-bits), 640 B a period for injections and deliveries, and a plan of 800 B a node; each constant is
-above its peak measured on 64-bit CPython (at most 510 B a period and 760 B a node). A replay is
-refused before its first slot if its text could pass 2**31 B (see ``SimTrace._replay``).
+names a packet from its bit index alone. A run is refused before it is planned if what it keeps could
+pass 2**31 B: 3(N+1) labels of about 40 B and a bit per packet (2 a period, 4 B per 30 bits), 640 B a
+period for injections and deliveries, and a plan of 800 B a node; each constant is above its peak
+measured on 64-bit CPython (at most 510 B a period and 760 B a node). Past 2**20 sender-slots (senders a
+period, 2(N-1) under TR and N under NC, times periods) it is refused there too: labels gain a bit per
+packet, so time grows with a run's length squared, and the slowest run at the bound, NC at N 3 for
+349,525 periods, took 84 s on a 2-CPU Xeon. A replay is refused before its first slot if its text could
+pass 2**31 B (see ``SimTrace._replay``).
 """
 
 from dataclasses import dataclass, field
@@ -30,6 +33,8 @@ from functools import cached_property
 
 from multihop.schedule import FORWARD, MODE_NC, MODE_TR, REVERSE, ScheduleConfig, period, slot_plan
 from multihop.schedule import nc_schedule, tr_schedule  # unused here: perfbench/tracer.py wraps both at this module
+
+_MAX_SENDER_SLOTS = 2**20  # a run's senders a period times its periods; see the module docstring
 
 
 class SteadyStateError(RuntimeError):
@@ -220,6 +225,10 @@ def _simulate(config, num_periods):
     if need > 2**31:
         raise ValueError("run too large: it could keep %.3g GB at nodes=%d z=%d periods=%d, over the "
                          "2.15 GB limit" % (need / 1e9, nodes, z, periods))
+    work = (nodes if config.mode == MODE_NC else 2 * (nodes - 1)) * periods
+    if work > _MAX_SENDER_SLOTS:
+        raise ValueError("run too long: %d sender-slots at nodes=%d z=%d periods=%d, over the %d limit"
+                         % (work, nodes, z, periods, _MAX_SENDER_SLOTS))
     trace = SimTrace(config)
     injected, delivered, period = trace.injections, trace.deliveries, trace.period
     slots = trace.total_slots = periods * period

@@ -8,9 +8,12 @@ its period is Z. A slot's transmit set is one progression of nodes Z apart,
 all sending one way; ``Schedule.sets[i]`` is slot i + 1's (direction, frozenset
 of nodes on air). Both functions first validate a ``ScheduleConfig`` of their mode.
 
-``period_events``, a stream's (slot, transmitter, receiver) columns, is the one
-encoding of the slot rules and ``period`` of the period's length; both engines
-read them. ``slot_plan`` is the one grouping of those columns by slot: the packet
+A stream's links, ``period_links`` (each hop's transmitter and receiver, forward
+then reverse), are the same in both modes whatever Z is; ``period_slots``, each
+link's slot, is the one encoding of the slot rules, ``period`` of the period's
+length, and ``period_events`` puts the three columns side by side. The capacity
+engine caches the links per layout, routes and radio and takes the slots per
+call. ``slot_plan`` is the one grouping of those columns by slot: the packet
 engine plays it and the builders take each slot's senders from it. A sender serves
 the directions its receivers' hops travel, so only the builders write a slot's
 direction. ``tests/reference.py`` holds the independent set forms and addressing.
@@ -63,23 +66,29 @@ class Schedule:
         return self.sets[(global_slot - 1) % self.period]
 
 
-def period_events(mode, z, nodes, opposite=False):
-    """Slot, transmitter and receiver route positions of one stream's events.
-
-    The closed forms of the schedules: in TR node i forwards in slot
-    (i-1) % Z + 1 and node i >= 2 sends reverse in slot Z + (N-i) % Z + 1;
-    the opposite phase shifts every slot by Z. In NC node i broadcasts in
-    slot (i-1) % Z + 1 to i-1 and i+1 inside the route.
-    """
+def period_links(nodes):
+    """Transmitter and receiver route positions of one stream's links over a period: its forward hops,
+    then its reverse ones. Every hop carries one event per direction per period in both modes, whatever Z is."""
     low, high = np.arange(1, nodes), np.arange(2, nodes + 1)  # senders toward the high / low end
-    tx = np.concatenate([low, high])
-    rx = np.concatenate([low + 1, high - 1])
+    return np.concatenate([low, high]), np.concatenate([low + 1, high - 1])
+
+
+def period_slots(mode, z, nodes, opposite=False):
+    """Slot of each of ``period_links(nodes)``, from the closed forms of the schedules: in TR node i
+    forwards in slot (i-1) % Z + 1 and node i >= 2 sends reverse in slot Z + (N-i) % Z + 1; the opposite
+    phase shifts every slot by Z. In NC node i broadcasts in slot (i-1) % Z + 1 to i-1 and i+1 inside the route."""
+    low, high = np.arange(1, nodes), np.arange(2, nodes + 1)
     if mode == MODE_NC:
-        return (tx - 1) % z + 1, tx, rx
+        return (np.concatenate([low, high]) - 1) % z + 1
     slot = np.concatenate([(low - 1) % z + 1, z + (nodes - high) % z + 1])
     if opposite:
         slot = (slot + z - 1) % (2 * z) + 1
-    return slot, tx, rx
+    return slot
+
+
+def period_events(mode, z, nodes, opposite=False):
+    """Slot, transmitter and receiver route positions of one stream's events, side by side."""
+    return (period_slots(mode, z, nodes, opposite), *period_links(nodes))
 
 
 def period(mode, z):

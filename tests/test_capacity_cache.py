@@ -1,9 +1,10 @@
 """The received-power matrix ``stream_capacity`` builds once per layout and
-radio and reuses read-only.
+radio, and the links it maps onto the layout once per layout, routes and
+radio, both reused read-only.
 
-The cache must save the power-law evaluation across a scan, give the same
-reports as a cold call in any order of layouts and radios, and never carry
-one layout's distance check over to another.
+The caches must save the power-law evaluation across a scan, give the same
+reports as a cold call in any order of layouts, routes and radios, and never
+carry one layout's distance check over to another.
 """
 
 import tracemalloc
@@ -72,9 +73,51 @@ def test_interleaved_calls_match_cold_calls(power_builds):
         for mode, z, phase in ((MODE_TR, 3, "opposite"), (MODE_NC, 2, "same"))
     ]
     warm = [stream_capacity(geo, routes, radio, mode, z, tr_phase=phase) for geo, routes, radio, mode, z, phase in calls]
-    for (geo, routes, radio, mode, z, phase), got in zip(calls, warm):
-        capacity._received_power.cache_clear()
-        assert got == stream_capacity(geo, routes, radio, mode, z, tr_phase=phase)
+    for call, got in zip(calls, warm):
+        assert got == cold(*call)
+
+
+def cold(geo, routes, radio, mode, z, phase):
+    """``stream_capacity`` with both caches cleared first."""
+    capacity._received_power.cache_clear()
+    capacity._links.cache_clear()
+    return stream_capacity(geo, routes, radio, mode, z, tr_phase=phase)
+
+
+def test_calls_alternating_routes_on_one_layout_match_cold_calls(power_builds):
+    """One layout and radio at a time, with the routes changing from call to call: full rows, routes
+    from node 2, and descending ones. The links are keyed on the routes, so no call reads another's."""
+    geo = NodeGeometry(LayoutConfig(nodes_per_stream=7, num_streams=2))
+    route_sets = [
+        {1: stream_route(geo, 1, 1, 7), 2: stream_route(geo, 2, 1, 7)},
+        {1: stream_route(geo, 1, 2, 7), 2: stream_route(geo, 2, 2, 5)},
+        {1: stream_route(geo, 1, 7, 1), 2: stream_route(geo, 2, 6, 2)},
+        {2: stream_route(geo, 2, 2, 7)},
+    ]
+    calls = [
+        (geo, routes, radio, mode, z, phase)
+        for radio in (RADIO_A, RADIO_B)
+        for mode, z, phase in ((MODE_TR, 3, "opposite"), (MODE_NC, 2, "same"), (MODE_TR, 9, "same"), (MODE_NC, 5, "same"))
+        for routes in route_sets
+    ]
+    warm = [stream_capacity(geo, routes, radio, mode, z, tr_phase=phase) for geo, routes, radio, mode, z, phase in calls]
+    assert power_builds == [RADIO_A, RADIO_B], "the routes do not key the power matrix"
+    for call, got in zip(calls, warm):
+        assert got == cold(*call)
+    assert len({got[min(got)].forward_bottleneck_bps for got in warm}) > len(route_sets), "the calls must differ"
+
+
+def test_cached_links_are_read_only():
+    geo, routes = rows(6)
+    stream_capacity(geo, routes, RADIO_A, MODE_TR, 3)
+    hits = capacity._links.cache_info().hits
+    *arrays, starts = capacity._links(geo, tuple(sorted(routes.items())), RADIO_A)
+    assert capacity._links.cache_info().hits == hits + 1, "the lookup above reads the cached entry"
+    assert starts == (0, 5, 10, 15, 20) and all(len(array) == 20 for array in arrays)
+    for array in arrays:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
 
 
 @pytest.mark.parametrize("spacing", [{}, {"row_separation_m": 0.5}])

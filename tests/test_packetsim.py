@@ -348,7 +348,8 @@ def refuse_to_plan(monkeypatch):
 
 
 class TestSizeLimit:
-    """A run that could keep more than 2**31 bytes is rejected before it allocates anything."""
+    """A run that could keep more than 2**31 bytes, or that has more than 2**20 sender-slots, is
+    rejected before it allocates anything."""
 
     @pytest.mark.parametrize(
         "run,nodes,z,num_periods,message",
@@ -367,9 +368,35 @@ class TestSizeLimit:
 
     @pytest.mark.parametrize("run,nodes,z,num_periods", [(run_nc_sim, 22739, 3, None), (run_tr_sim, 64, 2, 3045992)])
     def test_the_largest_runs_within_the_limit_are_planned(self, monkeypatch, run, nodes, z, num_periods):
+        # the size limit alone: both runs are far past the time limit, which the next tests pin
+        monkeypatch.setattr(packetsim, "_MAX_SENDER_SLOTS", math.inf)
         refuse_to_plan(monkeypatch)
         with pytest.raises(AssertionError, match="a run was planned"):
             run(nodes, z, num_periods=num_periods)
+
+    @pytest.mark.parametrize(
+        "run,nodes,z,num_periods,message",
+        [
+            (run_tr_sim, 64, 2, 3045991, "383794866 sender-slots at nodes=64 z=2 periods=3045991"),
+            (run_nc_sim, 22739, 3, None, "2068248484 sender-slots at nodes=22739 z=3 periods=90956"),
+            (run_tr_sim, 22739, 3, None, "4136315056 sender-slots at nodes=22739 z=3 periods=90956"),
+            (run_nc_sim, 3, 2, 349526, "1048578 sender-slots at nodes=3 z=2 periods=349526"),
+            (run_tr_sim, 3, 2, 262145, "1048580 sender-slots at nodes=3 z=2 periods=262145"),
+        ],
+    )
+    def test_a_run_that_would_take_hours_is_refused_before_it_is_planned(
+        self, monkeypatch, run, nodes, z, num_periods, message
+    ):
+        refuse_to_plan(monkeypatch)
+        with pytest.raises(ValueError) as exc:
+            run(nodes, z, num_periods=num_periods)
+        assert str(exc.value) == "run too long: %s, over the 1048576 limit" % message
+
+    @pytest.mark.parametrize("run,nodes,num_periods", [(run_nc_sim, 3, 349525), (run_tr_sim, 3, 262144)])
+    def test_the_longest_runs_within_the_time_limit_are_planned(self, monkeypatch, run, nodes, num_periods):
+        refuse_to_plan(monkeypatch)
+        with pytest.raises(AssertionError, match="a run was planned"):
+            run(nodes, 2, num_periods=num_periods)
 
     @pytest.mark.parametrize("run,slots,reverse", [(run_tr_sim, 7_000_000_004, 4), (run_nc_sim, 8_000_000_002, 2_999_999_998)])
     def test_a_huge_period_is_not_a_large_run(self, run, slots, reverse):

@@ -44,9 +44,11 @@ def test_every_import_is_used_or_wrapped(path):
 
 def test_only_schedule_and_capacity_name_the_period_columns():
     """``schedule.slot_plan`` is the one grouping of a period's events by slot, and ``capacity``
-    reads the columns as arrays; a third module naming ``period_events`` would group them again."""
-    naming = [path.name for path in SOURCES if re.search(r"\bperiod_events\b", path.read_text())]
-    assert naming == ["capacity.py", "schedule.py"]
+    reads the columns as arrays; a third module naming ``period_events``, or its link or slot
+    columns, would group them again."""
+    for name in ("period_events", "period_links", "period_slots"):
+        naming = [path.name for path in SOURCES if re.search(r"\b%s\b" % name, path.read_text())]
+        assert naming == ["capacity.py", "schedule.py"], name
 
 
 def _defined(tree):
