@@ -20,24 +20,24 @@ and equal radio and reused read-only.
 
 ``stream_capacity`` takes a period's events from the schedules' closed forms as
 numpy index arrays, stream by stream in the order they are made: each stream's
-forward events, then its reverse ones. A link and its slot are separate facts:
-every hop carries one event per direction per period in both modes, and only
-the slot moves with mode, Z and TR phase. So a call's links, ``period_links``
-on layout indices with each receiver's other row neighbour and both row-neighbour
-powers, are built once per layout, routes and radio and reused read-only too; a
-call computes only its ``period_slots`` and what depends on them. A
-half-period's senders are on air only in its first min(Z, N) slots, so each slot
-takes a place among at most 2 x min(Z, N) rows of a (place x node) on-air
-matrix, whatever Z is. One product of P with those rows gives every event's
-far-field interference; the other row neighbour's power is added when it is on
-air, and the signal never enters the sum, so no signal is subtracted and small
-interference stays exact. Non-finite far-field powers are set apart and added
+forward events, then its reverse ones. Every hop carries one event per direction per
+period in both modes, and a link's ``period_phases``, its half of the period and
+place in that half's progression, give its slot for any Z. So a call's links,
+``period_links`` on layout indices with each receiver's other row neighbour and both
+row-neighbour powers, and their phases in every mode and TR phase, are built once
+per layout, routes and radio and reused read-only too; a call computes each link's
+place and what depends on it. A half-period's senders are on air only in its first
+min(Z, N) slots, so each link takes a place among at most 2 x min(Z, N) rows of a
+(place x node) on-air matrix, whatever Z is. One product of P with those rows gives
+every event's far-field interference; the other row neighbour's power is added when
+it is on air, and the signal never enters the sum, so no signal is subtracted and
+small interference stays exact. Non-finite far-field powers are set apart and added
 only when on the air, so an off-air inf adds nothing (inf x 0 is nan). Each
-direction's bottleneck is the Shannon rate of the lowest SINR of its run of
-events. A report keeps its call's radio, SINRs and (stream,
-nodes, TR phase) per stream; its cached ``events`` rebuilds the event rows from
-those closed forms and sorts them, with their SINRs, into ``reception_events``
-order, as each error message picks its first offending event in that order.
+direction's bottleneck is the Shannon rate of the lowest SINR of its run of events.
+A report keeps its call's radio, SINRs and (stream, nodes, TR phase) per stream; its
+cached ``events`` rebuilds the event rows from those closed forms and sorts them,
+with their SINRs, into ``reception_events`` order, as each error message picks its
+first offending event in that order.
 
 The scalar reference the array path is tested against is ``reception_events``,
 which reads the same sorted rows as the ``events`` view, and ``event_sinr``'s
@@ -52,8 +52,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from multihop.radio import REFERENCE_DISTANCE_M, noise_power, path_constant, received_power, shannon_rate, sinr
-from multihop.schedule import FORWARD, MODE_TR, REVERSE, TR_PHASES, ScheduleConfig, period, period_events
-from multihop.schedule import period_links, period_slots
+from multihop.schedule import FORWARD, MODE_NC, MODE_TR, REVERSE, TR_PHASES, ScheduleConfig, period, period_events
+from multihop.schedule import period_links, period_phases
 from multihop.schedule import nc_schedule, tr_schedule  # unused here: perfbench/tracer.py wraps both at this module
 
 
@@ -125,8 +125,13 @@ def _streams(routes, mode, z, tr_phase):
     streams = []
     for stream, route in sorted(routes.items()):
         ScheduleConfig(nodes=len(route.nodes), z=z, mode=mode)  # validates nodes, z and mode
-        streams.append((stream, len(route.nodes), mode == MODE_TR and tr_phase == "opposite" and stream == 2))
+        streams.append((stream, len(route.nodes), _opposite(mode, tr_phase, stream)))
     return streams
+
+
+def _opposite(mode, tr_phase, stream):
+    """Whether a stream runs in the opposite phase: TR's stream 2 when ``tr_phase`` is opposite."""
+    return mode == MODE_TR and tr_phase == "opposite" and stream == 2
 
 
 def _ordered(mode, z, streams):
@@ -236,19 +241,24 @@ def _received_power(geometry, radio):
 
 @lru_cache(maxsize=1)
 def _links(geometry, routes, radio):
-    """Read-only tx, rx and other-row-neighbour indices of the links of ``routes``, sorted (stream, route)
-    pairs, their signal and other-neighbour powers, and each stream's two run starts; not keyed on mode or Z."""
+    """Read-only tx, rx and other-row-neighbour indices of the links of ``routes``, sorted (stream, route) pairs,
+    their signal and other-neighbour powers, halves per TR phase, places under TR and NC, and each run's start."""
     near = _received_power(geometry, radio)[1]
-    parts, starts = [], [0]  # lists, not generators or np.cumsum: both moved tracemalloc peaks
-    for _, route in routes:
-        tx, rx = period_links(len(route.nodes))
+    parts, starts, phases = [], [0], ([], [], [], [])  # lists, not generators or np.cumsum: both moved peaks
+    for k, route in routes:
+        nodes = len(route.nodes)
+        tx, rx = period_links(nodes)
         at = geometry.route_indices(route)  # route position - 1 -> matrix index
-        parts.append((at[tx - 1], at[rx - 1]))
+        parts.append((at[np.subtract(tx, 1)], at[np.subtract(rx, 1)]))
+        (same, tr_pos), (opposite, _) = (period_phases(MODE_TR, nodes, _opposite(MODE_TR, p, k)) for p in TR_PHASES)
+        for column, values in zip(phases, (same, opposite, tr_pos, period_phases(MODE_NC, nodes)[1])):
+            column += values
         starts += [starts[-1] + len(tx) // 2, starts[-1] + len(tx)]  # its reverse run, the next stream
     tx_at, rx_at = (np.concatenate(a) for a in zip(*parts))
+    halves, places = np.array(phases[:2]), np.array(phases[2:], np.int32)  # per TR phase; under TR, then NC
     up = np.greater(tx_at, rx_at).astype(int)  # 1 where the signal comes from the row neighbour above
     other = (2 * rx_at - tx_at) % near.shape[1]  # the other row neighbour; where it has none, near is 0
-    links = tx_at, rx_at, other, near[up, rx_at], near[1 - up, rx_at]
+    links = tx_at, rx_at, other, near[up, rx_at], near[1 - up, rx_at], halves, places
     for array in links:
         array.setflags(write=False)
     return (*links, tuple(starts))
@@ -266,14 +276,12 @@ def stream_capacity(geometry, routes, radio, mode, z, tr_phase="same"):
     """
     streams = _streams(routes, mode, z, tr_phase)
     power, _, close, odd = _received_power(geometry, radio)
-    tx_at, rx_at, other, signal, beside, starts = _links(geometry, tuple(sorted(routes.items())), radio)
-    slots = {key: period_slots(mode, z, *key) for key in {(n, o) for _, n, o in streams}}  # one per length and phase
-    slot = np.concatenate([slots[n, o] for _, n, o in streams])
-    del slots  # before the on-air rows are built
-    # a half-period's senders are on air in its first ``width`` slots only, so its
-    # slots take ``width`` places: at most 2 x min(Z, N) rows, whatever Z is
+    tx_at, rx_at, other, signal, beside, halves, places, starts = _links(geometry, tuple(sorted(routes.items())), radio)
+    half, pos = (halves[TR_PHASES.index(tr_phase)], places[0]) if mode == MODE_TR else (0, places[1])  # NC: one half
+    # a half-period's senders are on air in its first ``width`` slots only, so its slots take ``width`` places:
+    # at most 2 x min(Z, N) rows, whatever Z is. A link's place is below N, so it is the same modulo Z and width
     width = min(z, max(nodes for _, nodes, _ in streams))
-    place = (slot - 1) // z * width + (slot - 1) % z
+    place = half * width + pos % width
     on_air = np.zeros((period(mode, z) // z * width, len(power)), dtype=bool)
     on_air[place, tx_at] = True
     clash = on_air[place, rx_at]

@@ -189,13 +189,14 @@ def stream_routes(geometry, nodes):
 
 
 def run_sweep(spec):
-    """One ResultRow per (mode, hops, z), optimum flagged per (mode, hops)."""
+    """One ResultRow per (mode, hops, z) in that order, optimum flagged per (mode, hops). Hop counts are walked
+    outside modes, so both modes' calls share the links capacity caches per route set; each group is put in place."""
     geometry = build_layout(spec.layout)
     rows = []
-    for mode in spec.modes:
-        for hops in spec.hop_counts:
-            nodes = hops + 1
-            routes = stream_routes(geometry, nodes)
+    for h, hops in enumerate(spec.hop_counts):
+        nodes = hops + 1
+        routes = stream_routes(geometry, nodes)
+        for m, mode in enumerate(spec.modes):
             group = []
             for z in spec.z_values:
                 report = stream_capacity(geometry, routes, spec.radio, mode, z, tr_phase=spec.tr_phase)[1]
@@ -217,7 +218,8 @@ def run_sweep(spec):
                 )
             best = max(sorted(group, key=lambda r: r.z), key=lambda r: r.capacity_bps)  # lowest Z wins a tie
             group[group.index(best)] = replace(best, optimum_flag=True)
-            rows.extend(group)
+            at = (m * (h + 1) + h) * len(group)  # past earlier modes' groups so far and this mode's lower hops
+            rows[at:at] = group
     check_consistency(rows)
     return rows
 

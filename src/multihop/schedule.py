@@ -8,14 +8,14 @@ its period is Z. A slot's transmit set is one progression of nodes Z apart,
 all sending one way; ``Schedule.sets[i]`` is slot i + 1's (direction, frozenset
 of nodes on air). Both functions first validate a ``ScheduleConfig`` of their mode.
 
-A stream's links, ``period_links`` (each hop's transmitter and receiver, forward
-then reverse), are the same in both modes whatever Z is; ``period_slots``, each
-link's slot, is the one encoding of the slot rules, ``period`` of the period's
-length, and ``period_events`` puts the three columns side by side. The capacity
-engine caches the links per layout, routes and radio and takes the slots per
-call. ``slot_plan`` is the one grouping of those columns by slot: the packet
-engine plays it and the builders take each slot's senders from it. A sender serves
-the directions its receivers' hops travel, so only the builders write a slot's
+A stream's links, ``period_links`` (each hop's transmitter and receiver, forward then
+reverse), and their phases, ``period_phases`` (each link's half of the period and place
+in its progression), do not depend on Z; ``period_slots``, each link's slot, is the one
+encoding of the slot rules, ``period`` of the period's length, and ``period_events``
+puts slots and links side by side as arrays. The capacity engine caches links and phases
+per layout, routes and radio. ``slot_plan`` groups the same columns, as ints, by slot:
+the packet engine plays it and the builders take each slot's senders from it. A sender
+serves the directions its receivers' hops travel, so only the builders write a slot's
 direction. ``tests/reference.py`` holds the independent set forms and addressing.
 """
 
@@ -69,26 +69,29 @@ class Schedule:
 def period_links(nodes):
     """Transmitter and receiver route positions of one stream's links over a period: its forward hops,
     then its reverse ones. Every hop carries one event per direction per period in both modes, whatever Z is."""
-    low, high = np.arange(1, nodes), np.arange(2, nodes + 1)  # senders toward the high / low end
-    return np.concatenate([low, high]), np.concatenate([low + 1, high - 1])
+    low, high = range(1, nodes), range(2, nodes + 1)  # senders toward the high / low end
+    return [*low, *high], [*high, *low]
+
+
+def period_phases(mode, nodes, opposite=False):
+    """Half of the period and place in the half's progression of each of ``period_links(nodes)``, whatever Z is:
+    in TR node i forwards at place i - 1 of half 0 and node i >= 2 sends reverse at place N - i of half 1, the
+    opposite phase swapping the halves; in NC node i broadcasts to i - 1 and i + 1 at place i - 1 of half 0."""
+    tx, _ = period_links(nodes)
+    hops = nodes - 1
+    if mode == MODE_NC:
+        return [False] * len(tx), [t - 1 for t in tx]
+    return [opposite] * hops + [not opposite] * hops, [t - 1 for t in tx[:hops]] + [nodes - t for t in tx[hops:]]
 
 
 def period_slots(mode, z, nodes, opposite=False):
-    """Slot of each of ``period_links(nodes)``, from the closed forms of the schedules: in TR node i
-    forwards in slot (i-1) % Z + 1 and node i >= 2 sends reverse in slot Z + (N-i) % Z + 1; the opposite
-    phase shifts every slot by Z. In NC node i broadcasts in slot (i-1) % Z + 1 to i-1 and i+1 inside the route."""
-    low, high = np.arange(1, nodes), np.arange(2, nodes + 1)
-    if mode == MODE_NC:
-        return (np.concatenate([low, high]) - 1) % z + 1
-    slot = np.concatenate([(low - 1) % z + 1, z + (nodes - high) % z + 1])
-    if opposite:
-        slot = (slot + z - 1) % (2 * z) + 1
-    return slot
+    """Slot of each of ``period_links(nodes)`` at one Z, half * Z + place % Z + 1: Z slots to a half."""
+    return [half * z + pos % z + 1 for half, pos in zip(*period_phases(mode, nodes, opposite))]
 
 
 def period_events(mode, z, nodes, opposite=False):
-    """Slot, transmitter and receiver route positions of one stream's events, side by side."""
-    return (period_slots(mode, z, nodes, opposite), *period_links(nodes))
+    """Slot, transmitter and receiver route positions of one stream's events, side by side, as arrays."""
+    return tuple([np.array(c) for c in (period_slots(mode, z, nodes, opposite), *period_links(nodes))])
 
 
 def period(mode, z):
@@ -105,12 +108,14 @@ def slot_plan(config):
     order as (node, ((receiver, direction of travel, receiver is an endpoint), ...)), lower receiver
     first. A sender serves the directions its receivers' hops travel, so a broadcaster serves both."""
     ends = (1, config.nodes)
-    plan = {}  # first each occupied slot's {transmitter: [its receiver triples]}
-    for s, tx, rx in sorted(zip(*[c.tolist() for c in period_events(config.mode, config.z, config.nodes)])):
-        if s not in plan:
-            plan[s] = {}
-        plan[s].setdefault(tx, []).append((rx, int(rx < tx), rx in ends))
-    return {s: [(tx, tuple(hears)) for tx, hears in txs.items()] for s, txs in plan.items()}
+    plan = {}
+    for s, tx, rx in sorted(zip(period_slots(config.mode, config.z, config.nodes), *period_links(config.nodes))):
+        senders, hear = plan.setdefault(s, []), (rx, int(rx < tx), rx in ends)
+        if senders and senders[-1][0] == tx:  # a broadcaster's higher receiver
+            senders[-1] = (tx, (*senders[-1][1], hear))
+        else:
+            senders.append((tx, (hear,)))
+    return plan
 
 
 def _grouped(config):

@@ -14,9 +14,10 @@ import pytest
 
 from multihop import capacity
 from multihop.capacity import event_sinr, reception_events, stream_capacity
+from multihop.harness import table4_rows
 from multihop.layout import LayoutConfig, NodeGeometry, stream_route
 from multihop.radio import RadioConfig
-from multihop.schedule import MODE_NC, MODE_TR
+from multihop.schedule import MODE_NC, MODE_TR, TR_PHASES, period_slots
 
 RADIO_A = RadioConfig()
 RADIO_B = RadioConfig(tx_gain=2.0, rx_gain=2.0, noise_figure_db=3.0)
@@ -111,13 +112,43 @@ def test_cached_links_are_read_only():
     geo, routes = rows(6)
     stream_capacity(geo, routes, RADIO_A, MODE_TR, 3)
     hits = capacity._links.cache_info().hits
-    *arrays, starts = capacity._links(geo, tuple(sorted(routes.items())), RADIO_A)
+    *arrays, halves, places, starts = capacity._links(geo, tuple(sorted(routes.items())), RADIO_A)
     assert capacity._links.cache_info().hits == hits + 1, "the lookup above reads the cached entry"
     assert starts == (0, 5, 10, 15, 20) and all(len(array) == 20 for array in arrays)
+    assert (halves.shape, halves.dtype, places.shape, places.dtype) == ((2, 20), bool, (2, 20), np.int32)
+    arrays += [halves, places]
     for array in arrays:
         assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
+
+
+def test_cached_places_are_the_places_of_period_slots():
+    """For N 3..64 and Z 2..3N, in both modes and both TR phases, with the second route one node shorter
+    than the first from N 4 on, the place each link takes from its cached phase columns is the place of
+    its ``period_slots`` slot: the rows of the half-periods before it, then its slot's offset in its half."""
+    for nodes in range(3, 65):
+        geo = NodeGeometry(LayoutConfig(nodes_per_stream=nodes, num_streams=2))
+        routes = {1: stream_route(geo, 1, 1, nodes), 2: stream_route(geo, 2, 1 if nodes == 3 else 2, nodes)}
+        *_, halves, places, _ = capacity._links(geo, tuple(sorted(routes.items())), RADIO_A)
+        for mode in MODE_TR, MODE_NC:
+            for phase in TR_PHASES:  # an NC period is one half
+                half, pos = (halves[TR_PHASES.index(phase)], places[0]) if mode == MODE_TR else (0, places[1])
+                for z in range(2, 3 * nodes + 1):
+                    streams = capacity._streams(routes, mode, z, phase)
+                    slot = np.concatenate([period_slots(mode, z, n, opposite) for _, n, opposite in streams])
+                    width = min(z, nodes)
+                    want = (slot - 1) // z * width + (slot - 1) % z
+                    assert np.array_equal(half * width + pos % width, want), (nodes, mode, phase, z)
+
+
+def test_a_table4_sweep_maps_each_route_set_once():
+    """``table4_rows`` sweeps hop counts 2..5 at one and two streams: 8 route sets, each evaluated in
+    both modes at 4 values of Z. Hop counts are walked outside modes, so each set's links are built once."""
+    capacity._links.cache_clear()
+    table4_rows()
+    info = capacity._links.cache_info()
+    assert (info.misses, info.hits) == (8, 56)
 
 
 @pytest.mark.parametrize("spacing", [{}, {"row_separation_m": 0.5}])

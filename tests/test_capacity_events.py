@@ -185,10 +185,11 @@ def test_rebuilt_events_match_the_schedule_objects(nodes, mode, streams, tr_phas
 def test_a_z_past_the_route_leaves_sinrs_bit_identical(mode, tr_phase):
     """From Z = N on, a half-period's senders are on air in its first N slots,
     each alone in its stream, so its slots take the same on-air rows at every
-    Z: reports keep every SINR's bytes and differ only in Z and capacity."""
+    Z: reports keep every SINR's bytes and differ only in Z and capacity, up to
+    a Z past int64, which places never read beyond min(Z, N)."""
     geometry, routes = rows(100, 2)
     radio = RadioConfig()
-    calls = [stream_capacity(geometry, routes, radio, mode, z, tr_phase=tr_phase) for z in (100, 101, 5_000)]
+    calls = [stream_capacity(geometry, routes, radio, mode, z, tr_phase=tr_phase) for z in (100, 101, 5_000, 10**20)]
     for stream in routes:
         first, *later = (reports[stream] for reports in calls)
         for rep in later:

@@ -29,7 +29,7 @@ from multihop.schedule import (
     MODE_TR,
     REVERSE,
     nc_schedule,
-    period_events,
+    period_links,
     tr_schedule,
 )
 from reference import receivers
@@ -281,7 +281,7 @@ class TestEngineProperties:
 @example(period=(64, 192), mode=MODE_NC)
 @example(period=(4, 5), mode=MODE_TR)  # TR forward slots 4 and 5 and reverse slot 5 are empty
 def test_the_engine_sends_and_delivers_as_the_reference_addresses(period, mode):
-    """The engine plans its slots from ``period_events``. For N 3..64 and
+    """The engine plans its slots from ``period_slots`` and ``period_links``. For N 3..64 and
     Z 2..3N in both modes, every replayed send comes from a node the reference
     puts on air in that slot, and every stored or delivered receiver, with its
     direction of travel, is one a sender of that slot addresses."""
@@ -327,13 +327,13 @@ class TestRunLength:
         assert short[:common] == fixed[:common]
 
     def test_no_steady_state_hits_the_cap(self, monkeypatch):
-        # the high end never transmits, so nothing travels in reverse
-        def muted(mode, z, nodes, opposite=False):
-            slot, tx, rx = period_events(mode, z, nodes, opposite)
-            keep = tx != nodes
-            return slot[keep], tx[keep], rx[keep]
+        # the high end never transmits, so nothing travels in reverse: muting its links mutes their
+        # phases and slots too, since ``period_phases`` reads each link's transmitter from them
+        def muted(nodes):
+            tx, rx = period_links(nodes)
+            return [t for t in tx if t != nodes], [r for t, r in zip(tx, rx) if t != nodes]
 
-        monkeypatch.setattr("multihop.schedule.period_events", muted)
+        monkeypatch.setattr("multihop.schedule.period_links", muted)
         with pytest.raises(SteadyStateError, match=r"no steady state within 120 slots"):
             run_tr_sim(5, 3)
 

@@ -44,11 +44,17 @@ def test_every_import_is_used_or_wrapped(path):
 
 def test_only_schedule_and_capacity_name_the_period_columns():
     """``schedule.slot_plan`` is the one grouping of a period's events by slot, and ``capacity``
-    reads the columns as arrays; a third module naming ``period_events``, or its link or slot
-    columns, would group them again."""
-    for name in ("period_events", "period_links", "period_slots"):
-        naming = [path.name for path in SOURCES if re.search(r"\b%s\b" % name, path.read_text())]
-        assert naming == ["capacity.py", "schedule.py"], name
+    reads the columns as arrays: its cached links and phases, and ``period_events`` for the sorted
+    events. Slots are numbered in ``schedule`` alone, so ``capacity`` never names ``period_slots``;
+    a third module naming any of the columns would group them again."""
+    naming = {
+        "period_events": ["capacity.py", "schedule.py"],
+        "period_links": ["capacity.py", "schedule.py"],
+        "period_phases": ["capacity.py", "schedule.py"],
+        "period_slots": ["schedule.py"],
+    }
+    for name, modules in naming.items():
+        assert [path.name for path in SOURCES if re.search(r"\b%s\b" % name, path.read_text())] == modules, name
 
 
 def _defined(tree):
